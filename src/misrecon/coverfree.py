@@ -318,6 +318,8 @@ def survivor_count_experiment(
     ceiling (n/(n-w))^r * sum_x a_x^w (1-a_x)^r and against the distribution-
     free ceiling (w/(w+r))^w * t.
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if f.has_duplicates():
         raise ValueError("experiment requires a family of distinct sets")
     w, r = params.w, params.r
@@ -375,6 +377,8 @@ def cover_witness_search(
     set inclusion. Each verified witness certifies the family is not
     (w, r+|X|)-cover-free via this route.
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if f.has_duplicates():
         raise ValueError("experiment requires a family of distinct sets")
     w, r, s = params.w, params.r, params.s
@@ -419,7 +423,7 @@ def cover_witness_search(
         measured={
             "witness_found": found,
             "witness_verified": verified,
-            "witness_frequency": found / trials if trials else 0.0,
+            "witness_frequency": found / trials,
         },
         bounds={},
         checks=checks,

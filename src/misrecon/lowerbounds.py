@@ -118,6 +118,8 @@ def dq_statistics(
     empirical frequency of {u in Q, W disjoint from Q} per clique vertex
     (checked against the ceiling 3/delta).
     """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if delta < 3:
         raise ValueError("delta must be >= 3 so the forced block is nonempty")
     u_size = math.ceil(delta / 3)

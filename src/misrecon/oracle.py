@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph, VertexSet
 from .util import derive_seed, iter_bits
@@ -26,16 +26,19 @@ def is_mis(g: Graph, q: VertexSet, i: VertexSet) -> bool:
     """True iff i is independent in g and every vertex of q\\i has a neighbour in i."""
     if q.n != g.n or i.n != g.n:
         raise ValueError("universe mismatch")
-    if not i.issubset(q):
-        raise ValueError("candidate set must be contained in the query")
     imask = i.mask
-    for v in iter_bits(imask):
-        if g.adjacency_mask(v) & imask:
-            return False
-    for v in iter_bits(q.mask & ~imask):
-        if not g.adjacency_mask(v) & imask:
-            return False
-    return True
+    if imask & ~q.mask:
+        raise ValueError("candidate set must be contained in the query")
+    # adjacency is symmetric, so i is independent iff no member lies in the
+    # union of its neighbourhoods, and maximal iff that union covers q \ i
+    adj = g.adjacency_masks
+    covered = 0
+    rest = imask
+    while rest:  # iter_bits inlined: this runs once per oracle answer
+        low = rest & -rest
+        covered |= adj[low.bit_length() - 1]
+        rest ^= low
+    return not covered & imask and not q.mask & ~imask & ~covered
 
 
 def greedy_mis(g: Graph, q: VertexSet, order: Sequence[int]) -> VertexSet:
@@ -43,12 +46,18 @@ def greedy_mis(g: Graph, q: VertexSet, order: Sequence[int]) -> VertexSet:
 
     `order` is a permutation of 0..n-1 (vertices outside q are skipped).
     """
+    qmask = q.mask
+    return _greedy_insert(g, q, [v for v in order if qmask >> v & 1])
+
+
+def _greedy_insert(g: Graph, q: VertexSet, members: Iterable[int]) -> VertexSet:
+    """greedy_mis over an order that holds only members of q."""
     if q.n != g.n:
         raise ValueError("universe mismatch")
-    qmask = q.mask
+    adj = g.adjacency_masks
     mis = 0
-    for v in order:
-        if qmask >> v & 1 and not g.adjacency_mask(v) & mis:
+    for v in members:
+        if not adj[v] & mis:
             mis |= 1 << v
     return VertexSet(g.n, mis)
 
@@ -57,7 +66,7 @@ def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
     """Greedy MIS under a uniformly random permutation of q derived from seed."""
     members = list(iter_bits(q.mask))
     random.Random(seed).shuffle(members)
-    return greedy_mis(g, q, members)
+    return _greedy_insert(g, q, members)
 
 
 def adversarial_clique_answer(
@@ -85,7 +94,7 @@ class GreedyLexPolicy:
     """Greedy MIS in ascending vertex order (the lexicographically least MIS)."""
 
     def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
-        return greedy_mis(g, q, range(g.n))
+        return _greedy_insert(g, q, iter_bits(q.mask))
 
 
 class GreedyOrderPolicy:

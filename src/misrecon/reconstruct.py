@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .graphs import Graph
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
-from .util import derive_seed, iter_bits, run_seeded_trials
+from .util import derive_seed, run_seeded_trials
 
 
 @dataclass(frozen=True)
@@ -49,24 +51,45 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence."""
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
-    co_queried = [0] * n
-    co_answered = [0] * n
-    for q, a in transcript.entries:
-        for v in iter_bits(q.mask):
-            co_queried[v] |= q.mask
-        for v in iter_bits(a.mask):
-            co_answered[v] |= a.mask
-    edges = []
-    unknown = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if co_answered[u] >> v & 1:
-                continue  # certified non-edge
-            if co_queried[u] >> v & 1:
-                edges.append((u, v))
-            else:
-                unknown.append((u, v))
-    return DecodeResult(n, tuple(edges), tuple(unknown))
+    queried = _co_occurs(n, [q.mask for q, _ in transcript.entries])
+    answered = _co_occurs(n, [a.mask for _, a in transcript.entries])
+    # a co-answered pair is a certified non-edge; of the other pairs u < v,
+    # the co-queried ones are edges and the rest stay unknown
+    open_pairs = np.triu(~answered, 1)
+    return DecodeResult(
+        n, _pairs(open_pairs & queried), _pairs(open_pairs & ~queried)
+    )
+
+
+def _pairs(upper: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (u, v) with upper[u, v] set, in ascending (u, v) order."""
+    us, vs = np.nonzero(upper)
+    return tuple(zip(us.tolist(), vs.tolist()))
+
+
+# mask rows unpacked per Gram block, which bounds the temporaries of decode
+_GRAM_ROWS = 128
+
+
+def _co_occurs(n: int, masks: list[int]) -> np.ndarray:
+    """n x n booleans: [u, v] is set iff some mask holds both u and v.
+
+    The masks are unpacked into 0/1 rows B and the Gram matrix B.T @ B is
+    summed block by block in float32. Every term is >= 0, so a sum is
+    positive exactly when one of its terms is, however it rounds.
+    """
+    width = (n + 7) // 8
+    gram = np.zeros((n, n), dtype=np.float32)
+    for start in range(0, len(masks), _GRAM_ROWS):
+        block = masks[start : start + _GRAM_ROWS]
+        packed = np.frombuffer(
+            b"".join(m.to_bytes(width, "little") for m in block), np.uint8
+        ).reshape(len(block), width)
+        rows = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(
+            np.float32
+        )
+        gram += rows.T @ rows
+    return gram > 0
 
 
 def consistency_check(g_hat: Graph, transcript: Transcript) -> bool:
@@ -84,17 +107,38 @@ def decode_result_to_text(result: DecodeResult) -> str:
 
 
 def decode_result_from_text(text: str) -> DecodeResult:
+    """Parse the decode_result_to_text format; ValueError on any defect."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty decode file")
-    n, m = map(int, lines[0].split())
-    edges = tuple(tuple(map(int, ln.split())) for ln in lines[1 : m + 1])
-    marker = lines[m + 1].split()
-    if marker[0] != "unknown":
-        raise ValueError("missing unknown section")
-    k = int(marker[1])
-    unknown = tuple(tuple(map(int, ln.split())) for ln in lines[m + 2 : m + 2 + k])
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError as exc:
+        raise ValueError(f"bad decode header: {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise ValueError(f"bad decode header: {lines[0]!r}")
+    marker = lines[m + 1].split() if len(lines) > m + 1 else []
+    if len(marker) != 2 or marker[0] != "unknown":
+        raise ValueError(f"expected {m} edge lines, then an 'unknown <count>' line")
+    try:
+        k = int(marker[1])
+    except ValueError as exc:
+        raise ValueError(f"bad unknown-section line: {lines[m + 1]!r}") from exc
+    if k < 0 or len(lines) - m - 2 != k:
+        raise ValueError(f"expected {k} unknown pairs, found {len(lines) - m - 2}")
+    edges = tuple(_parse_pair(n, ln) for ln in lines[1 : m + 1])
+    unknown = tuple(_parse_pair(n, ln) for ln in lines[m + 2 :])
     return DecodeResult(n, edges, unknown)
+
+
+def _parse_pair(n: int, line: str) -> tuple[int, int]:
+    try:
+        u, v = map(int, line.split())
+    except ValueError as exc:
+        raise ValueError(f"bad pair line: {line!r}") from exc
+    if not 0 <= u < v < n:
+        raise ValueError(f"pair line must satisfy 0 <= u < v < {n}: {line!r}")
+    return u, v
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,22 @@ class TestExperimentDispatch:
             main(["experiment", "dq-stats", "--n", "30", "--delta", "6"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lemma7", "--w", "2", "--r", "1", "--sets", "6", "--ground", "8"],
+            ["lemma8", "--w", "2", "--r", "1", "--sets", "6", "--ground", "8"],
+            ["dq-stats", "--n", "30", "--delta", "3", "--queries", "5"],
+        ],
+    )
+    def test_zero_trials_exits_two(self, args, capsys):
+        code, stdout, err = run_cli(
+            ["experiment", *args, "--seed", "1", "--trials", "0"], capsys
+        )
+        assert code == 2
+        assert "need trials >= 1" in err
+        assert "Traceback" not in err and not stdout
+
     def test_json_output_parses(self, capsys):
         code, stdout, _ = run_cli(
             ["experiment", "lemma7", "--sets", "6", "--ground", "8",

@@ -1,0 +1,139 @@
+"""The batched scheme builder, oracle and decoder against scalar references.
+
+Each fast path must give exactly the output of the per-bit loop kept in
+scalar_reference.py, on every input hypothesis draws.
+"""
+
+import math
+import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as ref
+from misrecon import reconstruct, schemes
+from misrecon.graphs import Graph, VertexSet
+from misrecon.oracle import GreedyLexPolicy, Transcript, is_mis, random_mis
+from misrecon.util import derive_seed
+
+# the host's speed varies, so no per-example deadline
+checked = settings(deadline=None, max_examples=150)
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=12):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+def subsets(n, within=None):
+    """Masks of subsets of {0..n-1}, or of the set `within` when given."""
+    full = (1 << n) - 1 if within is None else within
+    return st.integers(0, (1 << n) - 1).map(lambda m: m & full)
+
+
+class TestRandomQueries:
+    @checked
+    @given(
+        n=st.integers(0, 40),
+        t=st.integers(0, 50),
+        p=st.floats(0.0, 1.0, exclude_min=True),
+        seed=SEEDS,
+    )
+    @example(n=1, t=1, p=0.5, seed=0)
+    @example(n=9, t=17, p=0.3, seed=5)  # n not a multiple of 8, t past a block
+    @example(n=13, t=33, p=1.0, seed=2)
+    @example(n=8, t=16, p=5e-324, seed=3)
+    def test_equals_per_draw_loop(self, n, t, p, seed):
+        fast = schemes.random_queries(n, t, p, seed)
+        assert fast == ref.random_queries(n, t, p, seed)
+
+    @checked
+    @given(seed=SEEDS)
+    def test_draw_equal_to_p_is_excluded_and_just_below_included(self, seed):
+        # random draws almost never land next to p; these p put the first draw
+        # of the stream exactly at p and one float below it
+        first = random.Random(derive_seed(seed)).random()
+        for p in (math.nextafter(first, 1.0), first):
+            if p > 0:
+                fast = schemes.random_queries(1, 1, p, seed)
+                assert fast.queries[0].mask == (first < p)
+                assert fast == ref.random_queries(1, 1, p, seed)
+
+
+class TestIsMis:
+    @checked
+    @given(data=st.data())
+    def test_equals_per_vertex_definition(self, data):
+        g = data.draw(graphs())
+        qmask = data.draw(subsets(g.n))
+        q = VertexSet(g.n, qmask)
+        if data.draw(st.booleans()):
+            # an arbitrary subset of q: often dependent or not maximal
+            i = VertexSet(g.n, data.draw(subsets(g.n, within=qmask)))
+        else:
+            i = ref.greedy_mis(g, q, data.draw(st.permutations(range(g.n))))
+        assert is_mis(g, q, i) == ref.is_mis(g, q, i)
+
+
+class TestGreedyAnswers:
+    @checked
+    @given(data=st.data(), seed=SEEDS)
+    def test_random_mis_equals_shuffle_then_greedy(self, data, seed):
+        g = data.draw(graphs())
+        q = VertexSet(g.n, data.draw(subsets(g.n)))
+        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed)
+
+    @checked
+    @given(data=st.data(), index=st.integers(0, 100))
+    def test_greedy_lex_equals_scan_of_all_vertices(self, data, index):
+        g = data.draw(graphs())
+        q = VertexSet(g.n, data.draw(subsets(g.n)))
+        assert GreedyLexPolicy().answer(g, q, index) == ref.greedy_lex(g, q)
+
+
+@st.composite
+def transcripts(draw, max_n=12, max_t=300):
+    n = draw(st.integers(0, max_n))
+    entries = []
+    for qmask in draw(st.lists(subsets(n), max_size=max_t)):
+        amask = draw(subsets(n, within=qmask))
+        entries.append((VertexSet(n, qmask), VertexSet(n, amask)))
+    return Transcript(n, tuple(entries))
+
+
+def seeded_transcript(n, t, seed):
+    """t random three-vertex queries, each with a random answer inside it.
+
+    Longer than hypothesis lists tend to be, so decode sums several blocks of
+    rows, and sparse enough that every block changes the result.
+    """
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(t):
+        q = VertexSet.from_members(n, rng.sample(range(n), 3))
+        entries.append((q, VertexSet(n, q.mask & rng.getrandbits(n))))
+    return Transcript(n, tuple(entries))
+
+
+class TestDecode:
+    @checked
+    @given(tr=transcripts())
+    @example(tr=Transcript(0, ()))
+    @example(tr=Transcript(1, ()))
+    @example(tr=Transcript(5, ()))
+    @example(tr=seeded_transcript(11, 300, 1))
+    def test_equals_pair_loop(self, tr):
+        result = reconstruct.decode(tr.n, tr)
+        assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)
+
+    @settings(deadline=None, max_examples=25)
+    @given(tr=transcripts(max_n=70, max_t=140))
+    @example(tr=seeded_transcript(70, 260, 2))
+    def test_equals_pair_loop_on_wider_universes(self, tr):
+        result = reconstruct.decode(tr.n, tr)
+        assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)

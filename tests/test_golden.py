@@ -1,0 +1,49 @@
+"""Golden outputs: seeded `reconstruct` runs must write byte-identical files.
+
+The digests were recorded before the scheme builder, the oracle and the
+decoder were rewritten with batched kernels. A change that alters any of
+them on purpose must say so in CHANGES.md and record new digests here.
+"""
+
+import hashlib
+
+import pytest
+
+from misrecon.cli import main
+
+GOLDEN = {
+    "randomized-random": (
+        ["--n", "200", "--delta", "8", "--density", "0.5",
+         "--scheme-kind", "randomized", "--policy", "random", "--seed", "11"],
+        "63cfc4494043eefd8c73300d8ba77a6997f65421a3f940cb9c56ed0cf4e6ef32",
+        "9b5c33c7967a75e6d0fa8c3d3830f81044cbfbaac37a62db6c4c8d5149ddecd8",
+    ),
+    "randomized-greedy-lex": (
+        ["--n", "200", "--delta", "8", "--density", "0.5",
+         "--scheme-kind", "randomized", "--policy", "greedy-lex", "--seed", "12"],
+        "6befa85f2ec9754123269b4ecc9283b51a801e884111d0b7d68ddf92ee44aa2c",
+        "723aa165870578bc4bc7629da0a9e3c4cb01d5f841fdfd5062fdf9dea38f6073",
+    ),
+    "cff-greedy-lex": (
+        ["--n", "12", "--delta", "2", "--scheme-kind", "cff", "--seed", "13"],
+        "0348428ae26eb517118d94ec9f4b6a8a0ca57af456ffcc0498792ec6874c4206",
+        "fb77532fa87ce2e815dc1a49e73bf6df5e244e08ddba416e39f1a5351c8e743b",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reconstruct_outputs_match_golden_digests(name, tmp_path, capsys):
+    args, out_digest, transcript_digest = GOLDEN[name]
+    out = tmp_path / "decoded.txt"
+    transcript = tmp_path / "transcript.jsonl"
+    code = main(["reconstruct", *args, "--out", str(out),
+                 "--transcript-out", str(transcript)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == out_digest
+    assert _sha256(transcript) == transcript_digest

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misrecon.graphs import Graph, VertexSet, gen_bounded_degree
 from misrecon.oracle import (
@@ -215,3 +217,47 @@ class TestDecodeResultFormat:
     def test_complete_result_has_empty_unknown_section(self):
         result = DecodeResult(3, ((0, 2),), ())
         assert decode_result_to_text(result).endswith("unknown 0\n")
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        n = data.draw(st.integers(0, 15))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        labels = data.draw(
+            st.lists(st.sampled_from("enu"), min_size=len(pairs), max_size=len(pairs))
+        )
+        result = DecodeResult(
+            n,
+            tuple(p for p, label in zip(pairs, labels) if label == "e"),
+            tuple(p for p, label in zip(pairs, labels) if label == "u"),
+        )
+        assert decode_result_from_text(decode_result_to_text(result)) == result
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "x y\nunknown 0\n",
+            "3\nunknown 0\n",
+            "-1 0\nunknown 0\n",
+            "3 1\n0\nunknown 0\n",  # one vertex on an edge line
+            "3 1\n0 1 2\nunknown 0\n",
+            "3 1\n0 9\nunknown 0\n",  # vertex out of range
+            "3 1\n-1 2\nunknown 0\n",
+            "3 1\n1 1\nunknown 0\n",  # u >= v
+            "3 1\n2 1\nunknown 0\n",
+            "3 1\n0 1\n",  # missing unknown section
+            "3 2\n0 1\nunknown 0\n",  # fewer edge lines than the header says
+            "3 0\n0 1\nunknown 0\n",  # more edge lines than the header says
+            "3 0\nunknown\n",
+            "3 0\nunknown x\n",
+            "3 0\nknown 0\n",
+            "3 0\nunknown 2\n0 1\n",  # count mismatch
+            "3 0\nunknown 1\n0 1\n1 2\n",
+            "3 0\nunknown -1\n",
+            "3 0\nunknown 1\n0 3\n",
+        ],
+    )
+    def test_malformed_text_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            decode_result_from_text(text)
