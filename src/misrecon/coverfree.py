@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import BoundCheck, ExperimentReport
-from .util import CapExceededError, derive_seed, iter_bits, run_seeded_trials
+from .util import CapExceededError, derive_seed, iter_bits, mask_from_members, run_seeded_trials
 
 DEFAULT_CHECK_CAP = int(os.environ.get("MISRECON_CHECK_CAP", 5 * 10**6))
 DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
@@ -146,21 +146,32 @@ def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
     work = math.comb(n, w) * math.comb(n - w, r_eff)
     if work > cap:
         raise CapExceededError(f"check size {work} exceeds cap {cap}")
-    indices = range(n)
-    for a_idx in itertools.combinations(indices, w):
-        inter = frozenset.intersection(*(f.sets[i] for i in a_idx))
-        rest = [i for i in indices if i not in a_idx]
-        if r_eff == 0:
-            if not inter:
-                return CoverViolation(a_idx, (), ())
-            continue
-        if not inter:
-            return CoverViolation(a_idx, tuple(rest[:r_eff]), ())
-        for b_idx in itertools.combinations(rest, r_eff):
-            union = frozenset.union(*(f.sets[i] for i in b_idx))
-            if inter <= union:
-                return CoverViolation(a_idx, b_idx, tuple(sorted(inter)))
-    return True
+    cover = _first_cover(tuple(map(mask_from_members, f.sets)), w, r_eff)
+    if cover is None:
+        return True
+    a_idx, b_idx, inter = cover
+    return CoverViolation(a_idx, b_idx, tuple(iter_bits(inter)))
+
+
+def _first_cover(masks: tuple[int, ...], w: int, r: int):
+    """(A indices, B indices, intersection mask) of the first (w,r) cover, or None.
+
+    Combinations are walked in index order. The empty union of r = 0 covers
+    only an empty intersection, which any r-subset covers.
+    """
+    n = len(masks)
+    for a_idx in itertools.combinations(range(n), w):
+        inter = masks[a_idx[0]]
+        for i in a_idx[1:]:
+            inter &= masks[i]
+        rest = [i for i in range(n) if i not in a_idx]
+        for b_idx in itertools.combinations(rest, r):
+            union = 0
+            for i in b_idx:
+                union |= masks[i]
+            if not inter & ~union:
+                return a_idx, b_idx, inter
+    return None
 
 
 def cff_ground_size(n: int, w: int, r: int, c: float) -> int:
@@ -251,25 +262,9 @@ def exact_t(
                 f"search space through t={t} is {visited}, exceeds cap {cap}"
             )
         for combo in itertools.combinations(range(2**t), n):
-            if _masks_cover_free(combo, w, r):
+            if _first_cover(combo, w, r) is None:
                 return t
     return None
-
-
-def _masks_cover_free(masks: tuple[int, ...], w: int, r: int) -> bool:
-    n = len(masks)
-    for a_idx in itertools.combinations(range(n), w):
-        inter = -1
-        for i in a_idx:
-            inter &= masks[i]
-        rest = [i for i in range(n) if i not in a_idx]
-        for b_idx in itertools.combinations(rest, r):
-            union = 0
-            for i in b_idx:
-                union |= masks[i]
-            if inter & ~union == 0:
-                return False
-    return True
 
 
 def alpha_product_bound(w: int, r: int, grid_size: int) -> float:

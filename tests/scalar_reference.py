@@ -1,15 +1,19 @@
-"""Per-bit reference versions of the batched scheme, oracle and decode paths.
+"""Reference versions of the batched and pruned library paths.
 
 These are the straightforward loops the library used before its hot paths
-were batched. Property tests require the library to agree with them bit for
-bit on every input.
+were batched and its exhaustive checkers pruned: per-bit scheme draws,
+oracle answers and decoding, the 2^|Q| subset scan for maximal independent
+sets, and the frozenset cover-free checker. Property tests require the
+library to agree with them bit for bit on every input.
 """
 
+import itertools
 import random
 
-from misrecon.graphs import Graph, VertexSet
+from misrecon.coverfree import CoverViolation, SetFamily
+from misrecon.graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
 from misrecon.oracle import Transcript
-from misrecon.schemes import QueryScheme
+from misrecon.schemes import QueryScheme, SchemeViolation
 from misrecon.util import derive_seed, iter_bits
 
 
@@ -78,3 +82,80 @@ def decode(n: int, transcript: Transcript):
             else:
                 unknown.append((u, v))
     return tuple(edges), tuple(unknown)
+
+
+def mis_family(adj, qmask: int) -> frozenset:
+    """Every subset of q that is independent and maximal, as masks."""
+    members = list(iter_bits(qmask))
+    found = []
+    for bits in range(1 << len(members)):
+        m = 0
+        for j, v in enumerate(members):
+            if bits >> j & 1:
+                m |= 1 << v
+        independent = True
+        for v in iter_bits(m):
+            if adj[v] & m:
+                independent = False
+                break
+        if not independent:
+            continue
+        maximal = True
+        for v in iter_bits(qmask & ~m):
+            if not adj[v] & m:
+                maximal = False
+                break
+        if maximal:
+            found.append(m)
+    return frozenset(found)
+
+
+def common_mis(g: Graph, h: Graph, q: VertexSet) -> VertexSet | None:
+    """A set that is an MIS of both induced subgraphs, or None.
+
+    Independent re-derivation via is_mis, used to audit witnesses.
+    """
+    for m in mis_family(g.adjacency_masks, q.mask):
+        cand = VertexSet(g.n, m)
+        if is_mis(h, q, cand):
+            return cand
+    return None
+
+
+def is_query_scheme(scheme: QueryScheme, delta: int):
+    """True, or the first graph pair sharing an MIS on every query.
+
+    Every (graph, query) MIS family comes from the subset scan; pairs are
+    visited in enumeration order.
+    """
+    graphs = enumerate_bounded_degree_graphs(scheme.n, delta)
+    signatures = [
+        [mis_family(g.adjacency_masks, q.mask) for q in scheme.queries]
+        for g in graphs
+    ]
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        if all(not a.isdisjoint(b) for a, b in zip(signatures[i], signatures[j])):
+            return SchemeViolation(graphs[i], graphs[j])
+    return True
+
+
+def is_cover_free(f: SetFamily, w: int, r: int):
+    """True, or the first CoverViolation, by frozenset intersections and unions.
+
+    Takes r already clamped to at most n - w.
+    """
+    indices = range(f.n)
+    for a_idx in itertools.combinations(indices, w):
+        inter = frozenset.intersection(*(f.sets[i] for i in a_idx))
+        rest = [i for i in indices if i not in a_idx]
+        if r == 0:
+            if not inter:
+                return CoverViolation(a_idx, (), ())
+            continue
+        if not inter:
+            return CoverViolation(a_idx, tuple(rest[:r]), ())
+        for b_idx in itertools.combinations(rest, r):
+            union = frozenset.union(*(f.sets[i] for i in b_idx))
+            if inter <= union:
+                return CoverViolation(a_idx, b_idx, tuple(sorted(inter)))
+    return True

@@ -174,6 +174,17 @@ class TestExperimentDispatch:
         assert "need trials >= 1" in err
         assert "Traceback" not in err and not stdout
 
+    def test_duality_zero_delta_exits_two(self, tmp_path, capsys):
+        scheme_path = tmp_path / "scheme.txt"
+        scheme_path.write_text("4 2\n0 1\n2 3\n")
+        code, stdout, err = run_cli(
+            ["experiment", "duality", "--delta", "0", "--scheme", str(scheme_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "need delta >= 1" in err
+        assert "Traceback" not in err and not stdout
+
     def test_json_output_parses(self, capsys):
         code, stdout, _ = run_cli(
             ["experiment", "lemma7", "--sets", "6", "--ground", "8",

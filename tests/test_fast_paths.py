@@ -1,19 +1,24 @@
-"""The batched scheme builder, oracle and decoder against scalar references.
+"""The batched and pruned library paths against scalar references.
 
-Each fast path must give exactly the output of the per-bit loop kept in
-scalar_reference.py, on every input hypothesis draws.
+Each fast path (scheme builder, oracle, decoder and the exhaustive checkers)
+must give exactly the output of the loop kept in scalar_reference.py, on
+every input hypothesis draws.
 """
 
+import itertools
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
 from misrecon import reconstruct, schemes
+from misrecon.coverfree import SetFamily, is_cover_free
 from misrecon.graphs import Graph, VertexSet
 from misrecon.oracle import GreedyLexPolicy, Transcript, is_mis, random_mis
+from misrecon.schemes import QueryScheme
 from misrecon.util import derive_seed
 
 # the host's speed varies, so no per-example deadline
@@ -137,3 +142,94 @@ class TestDecode:
     def test_equals_pair_loop_on_wider_universes(self, tr):
         result = reconstruct.decode(tr.n, tr)
         assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)
+
+
+@st.composite
+def graph_and_query(draw, max_n=7):
+    g = draw(graphs(max_n=max_n))
+    return g, draw(subsets(g.n))
+
+
+# the 4-cycle 0-2-1-3: a branch of the pivoted search reaches P = {} with
+# X != {}, a set that is independent but not maximal
+C4 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+class TestMisFamily:
+    @checked
+    @given(case=graph_and_query())
+    @example(case=(Graph.complete(7), 0))  # Q empty
+    @example(case=(Graph.complete(7), 0b0010000))  # |Q| = 1
+    @example(case=(Graph.empty(7), 0b1111111))  # G[Q] empty
+    @example(case=(Graph.complete(7), 0b1111111))  # G[Q] complete
+    @example(case=(C4, 0b1111))
+    def test_equals_subset_scan(self, case):
+        g, qmask = case
+        fast = schemes._mis_family(g.adjacency_masks, qmask)
+        assert fast == ref.mis_family(g.adjacency_masks, qmask)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_equals_subset_scan_on_every_labelled_graph(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        full = (1 << n) - 1
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pair for k, pair in enumerate(pairs) if bits >> k & 1])
+            fast = schemes._mis_family(g.adjacency_masks, full)
+            assert fast == ref.mis_family(g.adjacency_masks, full), g
+
+
+@st.composite
+def families(draw, max_n=7, max_ground=6):
+    """Small families, so duplicate sets and empty intersections are common."""
+    ground = draw(st.integers(0, max_ground))
+    w = draw(st.integers(1, 3))
+    n = draw(st.integers(w, max_n))
+    sets = draw(
+        st.lists(
+            st.frozensets(st.integers(0, ground - 1), max_size=ground)
+            if ground else st.just(frozenset()),
+            min_size=n, max_size=n,
+        )
+    )
+    return SetFamily(ground, tuple(sets)), w
+
+
+def fam(ground, *sets):
+    return SetFamily(ground, tuple(frozenset(s) for s in sets))
+
+
+class TestIsCoverFree:
+    @checked
+    @given(case=families(), r=st.integers(0, 8))
+    @example(case=(fam(3, [0], [1], [2]), 1), r=0)
+    @example(case=(fam(3, [0], [1], [2]), 1), r=5)  # clamped to n - w
+    @example(case=(fam(3, [0, 1], [0, 1], [2]), 1), r=1)  # duplicate sets
+    @example(case=(fam(4, [0, 1], [2, 3], [0, 2]), 2), r=0)  # empty intersection
+    @example(case=(fam(4, [0, 1], [2, 3], [0, 2], [1]), 2), r=2)
+    @example(case=(fam(5, [0, 1, 2], [0, 1, 3], [0, 2, 3], [4]), 3), r=1)
+    def test_equals_frozenset_checker(self, case, r):
+        f, w = case
+        fast = is_cover_free(f, w, r)
+        assert fast == ref.is_cover_free(f, w, min(r, f.n - w))
+
+
+def query_scheme(n, *queries):
+    return QueryScheme(n, tuple(VertexSet.from_members(n, q) for q in queries))
+
+
+@st.composite
+def small_schemes(draw):
+    n = draw(st.integers(1, 5))
+    qmasks = draw(st.lists(subsets(n), max_size=8))
+    return QueryScheme(n, tuple(VertexSet(n, m) for m in qmasks))
+
+
+class TestIsQueryScheme:
+    @settings(deadline=None, max_examples=60)
+    @given(scheme=small_schemes(), delta=st.sampled_from([1, 2]))
+    @example(scheme=query_scheme(5, *itertools.combinations(range(5), 2)), delta=2)
+    # two queries of one size that induce equal adjacency rows on some graph
+    @example(scheme=query_scheme(4, [0, 1, 3], [0, 1, 2], [0, 2, 3]), delta=2)
+    def test_equals_reference_pair_loop(self, scheme, delta):
+        result = schemes.is_query_scheme(scheme, delta)
+        assert result == ref.is_query_scheme(scheme, delta)

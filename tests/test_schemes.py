@@ -12,13 +12,13 @@ from misrecon.schemes import (
     SchemeConstructionError,
     SchemeViolation,
     cff_scheme,
-    common_mis,
     duality_check,
     is_query_scheme,
     random_queries,
     randomized_scheme,
 )
 from misrecon.util import CapExceededError
+from scalar_reference import common_mis
 
 
 def pair_scheme(n):
