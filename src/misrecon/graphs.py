@@ -14,6 +14,7 @@ closed-form binomial counts exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -158,22 +159,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self._edges)}, delta={self.delta})"
-
-
-def max_degree(g: Graph) -> int:
-    """Maximum over all vertices of the neighbour count."""
-    return g.delta
-
-
-def induced_mis_context(g: Graph, q: VertexSet) -> dict[int, int]:
-    """Adjacency of the subgraph induced by q, keyed by original vertex index.
-
-    Values are neighbour bitmasks restricted to q; no relabelling happens, so
-    independent sets computed on this view are reported in original indices.
-    """
-    if q.n != g.n:
-        raise ValueError("query universe does not match graph")
-    return {v: g.adjacency_mask(v) & q.mask for v in iter_bits(q.mask)}
 
 
 @dataclass(frozen=True)
@@ -376,11 +361,15 @@ def enumerate_blocked_clique_family(
         yield Graph(n, edges)
 
 
-def enumerate_bounded_degree_graphs(n: int, delta: int, cap: int = DEFAULT_ENUM_CAP) -> list[Graph]:
+@functools.lru_cache(maxsize=4)
+def enumerate_bounded_degree_graphs(
+    n: int, delta: int, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[Graph, ...]:
     """All labelled graphs on n vertices with max degree <= delta.
 
     Enumeration order is by edge-subset recursion over the lexicographically
-    sorted candidate edges, so the output order is reproducible.
+    sorted candidate edges, so the output order is reproducible. The last four
+    results are memoised and shared, hence tuples; over the cap it raises.
     """
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[Graph] = []
@@ -405,7 +394,7 @@ def enumerate_bounded_degree_graphs(n: int, delta: int, cap: int = DEFAULT_ENUM_
             deg[v] -= 1
 
     rec(0, [0] * n, [0] * n)
-    return out
+    return tuple(out)
 
 
 def graph_to_text(g: Graph) -> str:

@@ -63,10 +63,20 @@ def _greedy_insert(g: Graph, q: VertexSet, members: Iterable[int]) -> VertexSet:
 
 
 def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
-    """Greedy MIS under a uniformly random permutation of q derived from seed."""
-    members = list(iter_bits(q.mask))
-    random.Random(seed).shuffle(members)
-    return _greedy_insert(g, q, members)
+    """Greedy MIS under a uniformly random permutation of q derived from seed.
+
+    An edgeless G[Q] has Q as its only MIS, so it is answered without seeding
+    a generator; each query's generator is private, so no other answer moves.
+    """
+    if q.n != g.n:
+        raise ValueError("universe mismatch")
+    adj, qmask = g.adjacency_masks, q.mask
+    members = list(iter_bits(qmask))
+    for v in members:
+        if adj[v] & qmask:
+            random.Random(seed).shuffle(members)
+            return _greedy_insert(g, q, members)
+    return q
 
 
 def adversarial_clique_answer(

@@ -120,8 +120,8 @@ def randomized_scheme(n: int, delta: int, c: float, p: float, seed: int) -> Quer
         raise ValueError("need n >= 2")
     if delta < 1:
         raise ValueError("need delta >= 1")
-    if c <= 0:
-        raise ValueError("query-count constant must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("query-count constant must be positive and finite")
     t = math.ceil(c * delta * delta * math.log(n))
     return random_queries(n, t, p, seed)
 

@@ -4,7 +4,8 @@ These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme draws,
 oracle answers and decoding, the 2^|Q| subset scan for maximal independent
 sets, and the frozenset cover-free checker. Property tests require the
-library to agree with them bit for bit on every input.
+library to agree with them bit for bit on every input. It also holds the
+small graph helpers that only the tests use.
 """
 
 import itertools
@@ -108,6 +109,22 @@ def mis_family(adj, qmask: int) -> frozenset:
         if maximal:
             found.append(m)
     return frozenset(found)
+
+
+def max_degree(g: Graph) -> int:
+    """Maximum over all vertices of the neighbour count."""
+    return g.delta
+
+
+def induced_mis_context(g: Graph, q: VertexSet) -> dict[int, int]:
+    """Adjacency of the subgraph induced by q, keyed by original vertex index.
+
+    Values are neighbour bitmasks restricted to q; no relabelling happens, so
+    independent sets computed on this view are reported in original indices.
+    """
+    if q.n != g.n:
+        raise ValueError("query universe does not match graph")
+    return {v: g.adjacency_mask(v) & q.mask for v in iter_bits(q.mask)}
 
 
 def common_mis(g: Graph, h: Graph, q: VertexSet) -> VertexSet | None:

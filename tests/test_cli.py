@@ -96,6 +96,17 @@ class TestReconstruct:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("c", ["inf", "nan", "0"])
+    def test_bad_query_constant_exits_two(self, c, capsys):
+        code, stdout, err = run_cli(
+            ["reconstruct", "--n", "20", "--delta", "3",
+             "--scheme-kind", "randomized", "--c", c, "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "query-count constant must be positive and finite" in err
+        assert "Traceback" not in err and not stdout
+
     def test_transcript_output(self, tmp_path, capsys):
         tr = tmp_path / "tr.jsonl"
         code, _, _ = run_cli(

@@ -14,10 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from misrecon import reconstruct, schemes
+from misrecon import oracle, reconstruct, schemes
 from misrecon.coverfree import SetFamily, is_cover_free
 from misrecon.graphs import Graph, VertexSet
-from misrecon.oracle import GreedyLexPolicy, Transcript, is_mis, random_mis
+from misrecon.oracle import (
+    GreedyLexPolicy,
+    RandomMisPolicy,
+    Transcript,
+    is_mis,
+    random_mis,
+    run_scheme,
+)
 from misrecon.schemes import QueryScheme
 from misrecon.util import derive_seed
 
@@ -99,6 +106,85 @@ class TestGreedyAnswers:
         g = data.draw(graphs())
         q = VertexSet(g.n, data.draw(subsets(g.n)))
         assert GreedyLexPolicy().answer(g, q, index) == ref.greedy_lex(g, q)
+
+
+def no_inner_edge(inner):
+    return st.just([])
+
+
+def one_inner_edge(inner):
+    return st.sampled_from(inner).map(lambda pair: [pair])
+
+
+def dense_inner_edges(inner):
+    # every pair of Q but at most a quarter of them
+    return st.sets(st.sampled_from(inner), max_size=len(inner) // 4).map(
+        lambda dropped: [pair for pair in inner if pair not in dropped]
+    )
+
+
+@st.composite
+def query_with_inner_edges(draw, inner_edges, min_q=0, max_q=12):
+    """(g, Q) where `inner_edges` picks the edges of G[Q] from the pairs of Q
+    and each pair with an end outside Q is an edge or not at random."""
+    n = draw(st.integers(max(min_q, 1), 12))
+    members = draw(
+        st.lists(st.integers(0, n - 1), min_size=min_q, max_size=max_q, unique=True)
+    )
+    qmask = sum(1 << v for v in members)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    inner = [(u, v) for u, v in pairs if qmask >> u & 1 and qmask >> v & 1]
+    edges = [pair for pair in pairs if pair not in inner and draw(st.booleans())]
+    edges += draw(inner_edges(inner)) if inner else []
+    return Graph(n, edges), VertexSet(n, qmask)
+
+
+class TestEdgelessShortcut:
+    """random_mis answers an edgeless G[Q] with Q itself and seeds nothing;
+    every other query keeps the seeded shuffle."""
+
+    @checked
+    @given(case=query_with_inner_edges(no_inner_edge, max_q=1), seed=SEEDS)
+    def test_at_most_one_vertex(self, case, seed):
+        g, q = case
+        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed) == q
+
+    @checked
+    @given(case=query_with_inner_edges(no_inner_edge, min_q=2), seed=SEEDS)
+    def test_independent_query(self, case, seed):
+        g, q = case
+        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed) == q
+
+    @checked
+    @given(case=query_with_inner_edges(one_inner_edge, min_q=2), seed=SEEDS)
+    def test_one_edge_inside_query(self, case, seed):
+        g, q = case
+        answer = random_mis(g, q, seed)
+        assert answer == ref.random_mis(g, q, seed)
+        assert len(answer) == len(q) - 1
+
+    @checked
+    @given(case=query_with_inner_edges(dense_inner_edges, min_q=2), seed=SEEDS)
+    def test_dense_induced_subgraph(self, case, seed):
+        g, q = case
+        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed)
+
+    def test_edgeless_queries_seed_no_generator(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("seeded a generator")
+
+        monkeypatch.setattr(oracle.random, "Random", refuse)
+        g = Graph(6, [(i, i + 1) for i in range(5)])  # the path 0-1-..-5
+        masks = [0, 0b1, 0b100000, 0b10101, 0b101010, 0b100001]
+        scheme = QueryScheme(6, tuple(VertexSet(6, m) for m in masks))
+        transcript = run_scheme(g, scheme, RandomMisPolicy(7))
+        assert [a for _, a in transcript.entries] == list(scheme.queries)
+        with pytest.raises(AssertionError, match="seeded a generator"):
+            random_mis(g, VertexSet(6, 0b11), 7)
+
+    def test_universe_mismatch_is_value_error(self):
+        with pytest.raises(ValueError, match="universe mismatch"):
+            random_mis(Graph.empty(3), VertexSet(5, 0b11000), 0)
 
 
 @st.composite

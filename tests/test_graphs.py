@@ -15,13 +15,12 @@ from misrecon.graphs import (
     gen_bounded_degree,
     graph_from_text,
     graph_to_text,
-    induced_mis_context,
-    max_degree,
     sample_clique_family,
     sample_blocked_clique_family,
     clique_family_size,
 )
 from misrecon.util import CapExceededError
+from scalar_reference import induced_mis_context, max_degree
 
 
 def path_graph(n):
@@ -218,6 +217,18 @@ class TestFamilyEnumeration:
                 expected += ok
             got = enumerate_bounded_degree_graphs(n, delta)
             assert len(got) == len(set(got)) == expected
+
+    def test_bounded_degree_enumeration_is_shared_and_immutable(self):
+        first = enumerate_bounded_degree_graphs(5, 2)
+        assert isinstance(first, tuple)
+        assert enumerate_bounded_degree_graphs(5, 2) is first
+
+    def test_bounded_degree_cap_raises_on_every_call(self):
+        # 1 + 6 + 3 graphs on 4 vertices have max degree <= 1
+        assert len(enumerate_bounded_degree_graphs(4, 1, cap=10)) == 10
+        for _ in range(2):
+            with pytest.raises(CapExceededError):
+                enumerate_bounded_degree_graphs(4, 1, cap=9)
 
 
 class TestDescriptorValidation:
