@@ -2,7 +2,7 @@
 
 All randomness flows from the mandatory --seed flag, and report output
 carries no timestamps, so identical invocations produce byte-identical
-files for any --threads value.
+files; --threads is accepted for compatibility and changes nothing.
 
 Exit codes: 0 success / all asserted bounds pass, 1 bound violation,
 2 usage or parameter error, 3 enumeration or check capacity exceeded.
@@ -311,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--p", type=float, default=None)
     exp.add_argument("--trials", type=int, default=1000)
     exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--threads", type=int, default=1)
+    exp.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; trials run in one thread")
     exp.add_argument("--family", default=None, help="set-family file")
     exp.add_argument("--sets", type=int, default=None)
     exp.add_argument("--ground", type=int, default=None)

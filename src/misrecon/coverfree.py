@@ -248,6 +248,8 @@ def exact_t(
     ground size; None when no family exists up to t_max. Intended for desk
     scale (n <= 6, t_max <= 6).
     """
+    if w < 1 or r < 0:
+        raise ValueError("need w >= 1 and r >= 0")
     if w + r > n:
         raise ValueError("need w + r <= n")
     visited = 0
@@ -273,6 +275,8 @@ def alpha_product_bound(w: int, r: int, grid_size: int) -> float:
     The product is maximised at a = w/(w+r); the returned deviation must be
     <= 0 up to numeric tolerance.
     """
+    if w < 1 or r < 1:
+        raise ValueError("need w, r >= 1")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     alpha = np.linspace(0.0, 1.0, grid_size)
@@ -312,6 +316,7 @@ def survivor_count_experiment(
     B_j. The report compares the empirical mean against the exact per-family
     ceiling (n/(n-w))^r * sum_x a_x^w (1-a_x)^r and against the distribution-
     free ceiling (w/(w+r))^w * t.
+    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -371,6 +376,7 @@ def cover_witness_search(
     relation intersection(A) <= union(B) + union(C) is verified by direct
     set inclusion. Each verified witness certifies the family is not
     (w, r+|X|)-cover-free via this route.
+    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")

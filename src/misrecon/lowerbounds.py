@@ -117,6 +117,7 @@ def dq_statistics(
     empirical mean of ln D_Q (checked against the ceiling 4) and the
     empirical frequency of {u in Q, W disjoint from Q} per clique vertex
     (checked against the ceiling 3/delta).
+    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")

@@ -9,10 +9,11 @@ one clique vertex per query.
 
 from __future__ import annotations
 
+import _random
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph, VertexSet
 from .util import derive_seed, iter_bits
@@ -68,13 +69,20 @@ def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
     An edgeless G[Q] has Q as its only MIS, so it is answered without seeding
     a generator; each query's generator is private, so no other answer moves.
     """
+    return _shuffled_greedy(g, q, lambda: random.Random(seed))
+
+
+def _shuffled_greedy(
+    g: Graph, q: VertexSet, seeded: Callable[[], random.Random]
+) -> VertexSet:
+    """Q if G[Q] is edgeless, else greedy over q shuffled by the seeded() generator."""
     if q.n != g.n:
         raise ValueError("universe mismatch")
     adj, qmask = g.adjacency_masks, q.mask
     members = list(iter_bits(qmask))
     for v in members:
         if adj[v] & qmask:
-            random.Random(seed).shuffle(members)
+            seeded().shuffle(members)
             return _greedy_insert(g, q, members)
     return q
 
@@ -103,11 +111,16 @@ def adversarial_clique_answer(
 class GreedyLexPolicy:
     """Greedy MIS in ascending vertex order (the lexicographically least MIS)."""
 
+    # the answer depends only on (g, q), so run_scheme asks once per distinct q
+    index_free = True
+
     def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
         return _greedy_insert(g, q, iter_bits(q.mask))
 
 
 class GreedyOrderPolicy:
+    index_free = True
+
     def __init__(self, order: Sequence[int]):
         self.order = tuple(order)
 
@@ -118,18 +131,30 @@ class GreedyOrderPolicy:
 class RandomMisPolicy:
     """Greedy under a fresh random order per query, derived from (seed, index).
 
-    The per-query derivation keeps parallel transcript generation
-    deterministic regardless of scheduling.
+    Answers random_mis(g, q, derive_seed(seed, index)). One private generator
+    is reseeded in place per query with an edge; the C-level seed leaves the
+    state random.Random(seed) starts from, so no answer moves.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
+        self._rng: random.Random | None = None
 
     def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
-        return random_mis(g, q, derive_seed(self.seed, index))
+        return _shuffled_greedy(g, q, lambda: self._reseeded(index))
+
+    def _reseeded(self, index: int) -> random.Random:
+        seed = derive_seed(self.seed, index)
+        if self._rng is None:
+            self._rng = random.Random(seed)
+        else:
+            _random.Random.seed(self._rng, seed)
+        return self._rng
 
 
 class AdversarialCliquePolicy:
+    index_free = True
+
     def __init__(self, desc: AdversarialFamilyDesc):
         self.desc = desc
 
@@ -168,10 +193,11 @@ class Transcript:
     entries: tuple[tuple[VertexSet, VertexSet], ...]
 
     def __post_init__(self):
+        n = self.n
         for q, a in self.entries:
-            if q.n != self.n or a.n != self.n:
+            if q.n != n or a.n != n:
                 raise ValueError("entry universe mismatch")
-            if not a.issubset(q):
+            if a.mask & ~q.mask:
                 raise ValueError("answer not contained in its query")
 
     def __len__(self) -> int:
@@ -203,15 +229,29 @@ class Transcript:
 def run_scheme(g: Graph, scheme, policy) -> Transcript:
     """Answer every query of the scheme in order under the given policy.
 
-    Every recorded answer is re-checked with is_mis; a policy that breaks the
-    MIS contract raises OracleError.
+    Every recorded answer is checked with is_mis; a policy that breaks the
+    MIS contract raises OracleError at the first index where it does. The
+    check runs once per distinct (query, answer) pair. A policy whose class
+    sets `index_free = True` answers from (g, q) alone and is asked once per
+    distinct query; any other policy is asked about every index.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
+    answers = {} if getattr(policy, "index_free", False) else None
+    verified = set()
     entries = []
     for index, q in enumerate(scheme.queries):
-        a = policy.answer(g, q, index)
-        if not is_mis(g, q, a):
-            raise OracleError(f"policy answer for query {index} is not an MIS")
+        if answers is None:
+            a = policy.answer(g, q, index)
+        else:
+            a = answers.get(q.mask)
+            if a is None:
+                a = answers[q.mask] = policy.answer(g, q, index)
+        # an answer outside g's universe is refused by Transcript below
+        key = (q.mask, a.mask)
+        if key not in verified:
+            if not is_mis(g, q, a):
+                raise OracleError(f"policy answer for query {index} is not an MIS")
+            verified.add(key)
         entries.append((q, a))
     return Transcript(g.n, tuple(entries))

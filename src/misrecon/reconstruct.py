@@ -51,8 +51,10 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence."""
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
-    queried = _co_occurs(n, [q.mask for q, _ in transcript.entries])
-    answered = _co_occurs(n, [a.mask for _, a in transcript.entries])
+    # co-occurrence is a union over masks, so each distinct mask is unpacked once
+    entries = transcript.entries
+    queried = _co_occurs(n, list(dict.fromkeys(q.mask for q, _ in entries)))
+    answered = _co_occurs(n, list(dict.fromkeys(a.mask for _, a in entries)))
     # a co-answered pair is a certified non-edge; of the other pairs u < v,
     # the co-queried ones are edges and the rest stay unknown
     open_pairs = np.triu(~answered, 1)
@@ -163,6 +165,7 @@ def success_rate(
     Each trial draws (graph, scheme, policy) from per-trial seeds derived
     from (seed, index); a trial succeeds only on an exact, complete match
     (or exact match after forcing unknowns to non-edges when requested).
+    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")

@@ -98,6 +98,8 @@ def _random_keys(rng: random.Random, m: int) -> np.ndarray:
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
     """t queries, each vertex included independently with probability p."""
+    if t < 0:
+        raise ValueError("need t >= 0 queries")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     rng = random.Random(derive_seed(seed))

@@ -2,8 +2,9 @@
 
 These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme draws,
-oracle answers and decoding, the 2^|Q| subset scan for maximal independent
-sets, and the frozenset cover-free checker. Property tests require the
+oracle answers and decoding, one policy call and one MIS check per query,
+the 2^|Q| subset scan for maximal independent sets, and the frozenset
+cover-free checker. Property tests require the
 library to agree with them bit for bit on every input. It also holds the
 small graph helpers that only the tests use.
 """
@@ -13,7 +14,7 @@ import random
 
 from misrecon.coverfree import CoverViolation, SetFamily
 from misrecon.graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
-from misrecon.oracle import Transcript
+from misrecon.oracle import OracleError, Transcript
 from misrecon.schemes import QueryScheme, SchemeViolation
 from misrecon.util import derive_seed, iter_bits
 
@@ -61,6 +62,27 @@ def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
 
 def greedy_lex(g: Graph, q: VertexSet) -> VertexSet:
     return greedy_mis(g, q, range(g.n))
+
+
+class RandomMisPolicy:
+    """A fresh random.Random per query, seeded with derive_seed(seed, index)."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
+        return random_mis(g, q, derive_seed(self.seed, index))
+
+
+def run_scheme(g: Graph, scheme: QueryScheme, policy) -> Transcript:
+    """Ask the policy about every query in order and check every answer."""
+    entries = []
+    for index, q in enumerate(scheme.queries):
+        a = policy.answer(g, q, index)
+        if not is_mis(g, q, a):
+            raise OracleError(f"policy answer for query {index} is not an MIS")
+        entries.append((q, a))
+    return Transcript(g.n, tuple(entries))
 
 
 def decode(n: int, transcript: Transcript):

@@ -196,6 +196,29 @@ class TestExperimentDispatch:
         assert "need delta >= 1" in err
         assert "Traceback" not in err and not stdout
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["alpha-bound", "--w", "1", "--r", "-1"], "need w, r >= 1"),
+            (["alpha-bound", "--w", "0", "--r", "2"], "need w, r >= 1"),
+            (["exact-t", "--n", "4", "--w", "-1", "--r", "1"],
+             "need w >= 1 and r >= 0"),
+            (["exact-t", "--n", "4", "--w", "1", "--r", "-1"],
+             "need w >= 1 and r >= 0"),
+            (["profile-count", "--n", "9", "--delta", "2", "--queries", "-2",
+              "--seed", "5"], "need t >= 0 queries"),
+            (["duality", "--n", "6", "--delta", "2", "--queries", "-2",
+              "--seed", "4"], "need t >= 0 queries"),
+            (["dq-stats", "--n", "30", "--delta", "3", "--queries", "-2",
+              "--trials", "5", "--seed", "1"], "need t >= 0 queries"),
+        ],
+    )
+    def test_negative_parameter_exits_two(self, args, message, capsys):
+        code, stdout, err = run_cli(["experiment", *args], capsys)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err and not stdout
+
     def test_json_output_parses(self, capsys):
         code, stdout, _ = run_cli(
             ["experiment", "lemma7", "--sets", "6", "--ground", "8",

@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from misrecon import oracle, reconstruct, schemes
 from misrecon.coverfree import SetFamily, is_cover_free
-from misrecon.graphs import Graph, VertexSet
+from misrecon.graphs import Graph, VertexSet, sample_clique_family
 from misrecon.oracle import (
+    AdversarialCliquePolicy,
     GreedyLexPolicy,
+    GreedyOrderPolicy,
+    OracleError,
     RandomMisPolicy,
     Transcript,
     is_mis,
@@ -187,11 +190,139 @@ class TestEdgelessShortcut:
             random_mis(Graph.empty(3), VertexSet(5, 0b11000), 0)
 
 
+def pooled_scheme(n, max_pool=4, max_t=30):
+    """Schemes whose queries come from a pool of at most max_pool masks, so
+    most queries repeat an earlier one."""
+    return st.lists(subsets(n), min_size=1, max_size=max_pool).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=max_t)
+    ).map(lambda masks: QueryScheme(n, tuple(VertexSet(n, m) for m in masks)))
+
+
 @st.composite
-def transcripts(draw, max_n=12, max_t=300):
+def graph_and_policy(draw):
+    """(g, policy) for each policy kind, with g a member of the hidden-clique
+    family when the policy is the clique adversary."""
+    kinds = ["greedy-lex", "greedy-order", "random", "adversarial"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "adversarial":
+        n = draw(st.integers(5, 8))
+        g, desc = sample_clique_family(n, draw(st.integers(1, 3)), draw(SEEDS))
+        return g, AdversarialCliquePolicy(desc), AdversarialCliquePolicy(desc)
+    g = draw(graphs(max_n=8))
+    if kind == "greedy-lex":
+        return g, GreedyLexPolicy(), GreedyLexPolicy()
+    if kind == "greedy-order":
+        order = draw(st.permutations(range(g.n)))
+        return g, GreedyOrderPolicy(order), GreedyOrderPolicy(order)
+    seed = draw(SEEDS)
+    return g, RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
+
+
+class CountingLexPolicy:
+    """Greedy-lex that counts its calls and declares itself index-free."""
+
+    index_free = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def answer(self, g, q, index):
+        self.calls += 1
+        return GreedyLexPolicy().answer(g, q, index)
+
+
+class SecondTimeWrongPolicy:
+    """Duck-typed, without index_free: answers greedy-lex, but the empty set
+    (not maximal in a nonempty query) the second time it sees a query."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def answer(self, g, q, index):
+        if q.mask in self.seen:
+            return VertexSet(g.n, 0)
+        self.seen.add(q.mask)
+        return GreedyLexPolicy().answer(g, q, index)
+
+
+class TestRunSchemeMemo:
+    """run_scheme asks an index-free policy once per distinct query and checks
+    each distinct (query, answer) pair once, with the reference transcript."""
+
+    @checked
+    @given(data=st.data())
+    def test_equals_reference_loop_for_every_policy(self, data):
+        g, policy, reference = data.draw(graph_and_policy())
+        scheme = data.draw(pooled_scheme(g.n))
+        assert run_scheme(g, scheme, policy) == ref.run_scheme(g, scheme, reference)
+
+    @checked
+    @given(data=st.data())
+    def test_policy_reused_across_runs(self, data):
+        g, policy, reference = data.draw(graph_and_policy())
+        for scheme in data.draw(st.lists(pooled_scheme(g.n), min_size=2, max_size=3)):
+            assert run_scheme(g, scheme, policy) == ref.run_scheme(g, scheme, reference)
+
+    @checked
+    @given(data=st.data())
+    def test_index_free_policy_asked_once_per_distinct_query(self, data):
+        g = data.draw(graphs(max_n=8))
+        scheme = data.draw(pooled_scheme(g.n))
+        policy = CountingLexPolicy()
+        transcript = run_scheme(g, scheme, policy)
+        assert transcript == ref.run_scheme(g, scheme, GreedyLexPolicy())
+        assert policy.calls == len({q.mask for q in scheme.queries})
+
+    @pytest.mark.parametrize("policy", [GreedyLexPolicy(), RandomMisPolicy(3)])
+    def test_each_distinct_pair_is_checked_once(self, policy, monkeypatch):
+        checked_pairs = []
+
+        def counting_is_mis(g, q, a):
+            checked_pairs.append((q.mask, a.mask))
+            return is_mis(g, q, a)
+
+        monkeypatch.setattr(oracle, "is_mis", counting_is_mis)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # the path 0-1-2-3
+        masks = [0b1111, 0b0101, 0b0111, 0b1111, 0b0101, 0b0011, 0b0111, 0b1111]
+        scheme = QueryScheme(4, tuple(VertexSet(4, m) for m in masks))
+        transcript = run_scheme(g, scheme, policy)
+        pairs = [(q.mask, a.mask) for q, a in transcript.entries]
+        assert checked_pairs == list(dict.fromkeys(pairs))
+
+    @pytest.mark.parametrize("masks, bad_index", [
+        ([0b011, 0b110, 0b011], 2),
+        ([0b111, 0b111], 1),
+        ([0b001, 0b010, 0b100, 0b110, 0b010], 4),
+    ])
+    def test_wrong_answer_on_a_repeat_still_raises(self, masks, bad_index):
+        g = Graph(3, [(0, 1), (1, 2)])
+        scheme = QueryScheme(3, tuple(VertexSet(3, m) for m in masks))
+        message = f"query {bad_index} is not an MIS"
+        with pytest.raises(OracleError, match=message):
+            run_scheme(g, scheme, SecondTimeWrongPolicy())
+        with pytest.raises(OracleError, match=message):
+            ref.run_scheme(g, scheme, SecondTimeWrongPolicy())
+
+    def test_policies_declare_index_free(self):
+        assert GreedyLexPolicy.index_free
+        assert GreedyOrderPolicy.index_free
+        assert AdversarialCliquePolicy.index_free
+        assert not hasattr(RandomMisPolicy, "index_free")
+
+
+@st.composite
+def transcripts(draw, max_n=12, max_t=300, max_pool=None):
+    """Random transcripts; with max_pool, the queries come from a pool of
+    that many masks and the answers from the subsets of each query's mask,
+    so queries and answers repeat."""
     n = draw(st.integers(0, max_n))
+    if max_pool is None:
+        qmasks = draw(st.lists(subsets(n), max_size=max_t))
+    else:
+        pool = draw(st.lists(subsets(n), min_size=1, max_size=max_pool))
+        qmasks = draw(st.lists(st.sampled_from(pool), max_size=max_t))
     entries = []
-    for qmask in draw(st.lists(subsets(n), max_size=max_t)):
+    for qmask in qmasks:
         amask = draw(subsets(n, within=qmask))
         entries.append((VertexSet(n, qmask), VertexSet(n, amask)))
     return Transcript(n, tuple(entries))
@@ -219,6 +350,12 @@ class TestDecode:
     @example(tr=Transcript(5, ()))
     @example(tr=seeded_transcript(11, 300, 1))
     def test_equals_pair_loop(self, tr):
+        result = reconstruct.decode(tr.n, tr)
+        assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)
+
+    @checked
+    @given(tr=transcripts(max_t=60, max_pool=4))
+    def test_equals_pair_loop_with_repeated_masks(self, tr):
         result = reconstruct.decode(tr.n, tr)
         assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)
 

@@ -1,8 +1,10 @@
-"""Golden outputs: seeded `reconstruct` runs must write byte-identical files.
+"""Golden outputs: seeded runs must write byte-identical files.
 
-The digests were recorded before the scheme builder, the oracle and the
-decoder were rewritten with batched kernels. A change that alters any of
-them on purpose must say so in CHANGES.md and record new digests here.
+The `reconstruct` digests were recorded before the scheme builder, the
+oracle and the decoder were rewritten with batched kernels, and the
+`profile-count` digest before run_scheme answered each distinct query once.
+A change that alters any of them on purpose must say so in CHANGES.md and
+record new digests here.
 """
 
 import hashlib
@@ -55,3 +57,21 @@ def test_reconstruct_outputs_match_golden_digests(name, tmp_path, capsys):
     assert code == 0
     assert _sha256(out) == out_digest
     assert _sha256(transcript) == transcript_digest
+
+
+# the adversarial-clique oracle over the 14,400 members of the n=12, delta=4
+# hidden-clique family
+PROFILE_COUNT = (
+    ["experiment", "profile-count", "--n", "12", "--delta", "4", "--queries", "3",
+     "--seed", "5", "--json"],
+    "2f5d258f25c755e634bcf1f3f7ded9e1d6cbf6a095da8e73c681187d3875598b",
+)
+
+
+def test_profile_count_report_matches_golden_digest(tmp_path, capsys):
+    args, digest = PROFILE_COUNT
+    out = tmp_path / "report.json"
+    code = main([*args, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == digest
