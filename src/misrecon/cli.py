@@ -5,13 +5,15 @@ carries no timestamps, so identical invocations produce byte-identical
 files; --threads is accepted for compatibility and changes nothing.
 
 Exit codes: 0 success / all asserted bounds pass, 1 bound violation,
-2 usage or parameter error, 3 enumeration or check capacity exceeded.
+2 usage or parameter error, 3 enumeration or check capacity exceeded,
+4 internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import coverfree, lowerbounds, reconstruct
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_INTERNAL = 4
 
 
 def _write(path: str | None, text: str) -> None:
@@ -353,6 +356,12 @@ def main(argv=None) -> int:
     except (ValueError, CffConstructionError, SchemeConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault of the program, not of its input: keep it apart from
+        # exit 1, which means a bound was violated
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

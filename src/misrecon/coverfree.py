@@ -252,6 +252,8 @@ def exact_t(
         raise ValueError("need w >= 1 and r >= 0")
     if w + r > n:
         raise ValueError("need w + r <= n")
+    if t_max < 1:
+        raise ValueError("need t_max >= 1")
     visited = 0
     for t in range(1, t_max + 1):
         if 2**t < n:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .util import CapExceededError, iter_bits, mask_from_members
+from .util import CapExceededError, iter_bits, mask_from_members, shuffle
 
 DEFAULT_ENUM_CAP = int(os.environ.get("MISRECON_ENUM_CAP", 10**6))
 
@@ -211,11 +211,12 @@ def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
         raise ValueError("density must be in [0, 1]")
     rng = random.Random(seed)
     candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(candidates)
+    shuffle(rng, candidates)
+    draw = rng.random  # continues from the state the shuffle left
     deg = [0] * n
     edges = []
     for u, v in candidates:
-        if deg[u] < delta and deg[v] < delta and rng.random() < density:
+        if deg[u] < delta and deg[v] < delta and draw() < density:
             deg[u] += 1
             deg[v] += 1
             edges.append((u, v))

@@ -296,6 +296,8 @@ def bound_table(
                     "ub_det_nonadaptive": delta**3 * math.log(n),
                 }
             )
+    if not rows:
+        raise ValueError("no (n, delta) pair satisfies 1 <= delta <= n - 1")
     return ExperimentReport(
         name="query-bound-table",
         parameters={

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph, VertexSet
-from .util import derive_seed, iter_bits
+from .util import derive_seed, iter_bits, shuffle
 
 
 class OracleError(RuntimeError):
@@ -79,11 +79,14 @@ def _shuffled_greedy(
     if q.n != g.n:
         raise ValueError("universe mismatch")
     adj, qmask = g.adjacency_masks, q.mask
-    members = list(iter_bits(qmask))
-    for v in members:
-        if adj[v] & qmask:
-            seeded().shuffle(members)
+    rest = qmask
+    while rest:  # iter_bits inlined: most queries of an exhaustive sweep end here
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & qmask:
+            members = list(iter_bits(qmask))
+            shuffle(seeded(), members)
             return _greedy_insert(g, q, members)
+        rest ^= low
     return q
 
 

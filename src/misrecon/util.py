@@ -1,4 +1,5 @@
-"""Shared plumbing: deterministic seed derivation, capacity errors, trial loops.
+"""Shared plumbing: deterministic seed derivation, seeded shuffles, capacity
+errors, trial loops.
 
 Every randomized operation in this package takes an explicit integer seed and
 derives per-trial / per-query seeds through a fixed 64-bit mixer, so results
@@ -7,7 +8,8 @@ are reproducible across platforms.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+import random
+from typing import Callable, MutableSequence, Sequence, TypeVar
 
 _MASK64 = (1 << 64) - 1
 
@@ -45,6 +47,24 @@ def run_seeded_trials(
     if trials < 0:
         raise ValueError("trials must be >= 0")
     return [trial(derive_seed(seed, i), i) for i in range(trials)]
+
+
+def shuffle(rng: random.Random, x: MutableSequence) -> None:
+    """Shuffle x in place exactly as rng.shuffle(x) does for a random.Random.
+
+    CPython's Random.shuffle draws j = getrandbits((i + 1).bit_length()),
+    redrawn while j > i, for i from len(x) - 1 down to 1. This makes the same
+    calls in the same order, so the permutation and rng's state afterwards
+    are identical, without a Python frame per drawn element.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def mask_from_members(members: Sequence[int]) -> int:

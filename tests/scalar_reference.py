@@ -2,7 +2,8 @@
 
 These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme draws,
-oracle answers and decoding, one policy call and one MIS check per query,
+the graph generator and oracle answers on the stdlib Random.shuffle,
+decoding, one policy call and one MIS check per query,
 the 2^|Q| subset scan for maximal independent sets, and the frozenset
 cover-free checker. Property tests require the
 library to agree with them bit for bit on every input. It also holds the
@@ -30,6 +31,22 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
                 mask |= 1 << v
         queries.append(VertexSet(n, mask))
     return QueryScheme(n, tuple(queries))
+
+
+def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
+    """Candidate pairs in Random.shuffle order, each kept with one
+    rng.random() < density draw while both ends have degree below delta."""
+    rng = random.Random(seed)
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(candidates)
+    deg = [0] * n
+    edges = []
+    for u, v in candidates:
+        if deg[u] < delta and deg[v] < delta and rng.random() < density:
+            deg[u] += 1
+            deg[v] += 1
+            edges.append((u, v))
+    return Graph(n, edges)
 
 
 def is_mis(g: Graph, q: VertexSet, i: VertexSet) -> bool:

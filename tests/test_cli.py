@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import cli_env
+from misrecon import cli
 from misrecon.cli import main
 from misrecon.graphs import graph_from_text
 
@@ -205,6 +206,15 @@ class TestExperimentDispatch:
              "need w >= 1 and r >= 0"),
             (["exact-t", "--n", "4", "--w", "1", "--r", "-1"],
              "need w >= 1 and r >= 0"),
+            # an empty search or table used to print PASS
+            (["exact-t", "--n", "4", "--w", "1", "--r", "1", "--t-max", "-1"],
+             "need t_max >= 1"),
+            (["exact-t", "--n", "4", "--w", "1", "--r", "1", "--t-max", "0"],
+             "need t_max >= 1"),
+            (["bound-table", "--n-list", "0", "--delta-list", "1"],
+             "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
+            (["bound-table", "--n-list", "4,5", "--delta-list", "0,5"],
+             "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
             (["profile-count", "--n", "9", "--delta", "2", "--queries", "-2",
               "--seed", "5"], "need t >= 0 queries"),
             (["duality", "--n", "6", "--delta", "2", "--queries", "-2",
@@ -218,6 +228,21 @@ class TestExperimentDispatch:
         assert code == 2
         assert message in err
         assert "Traceback" not in err and not stdout
+
+    def test_unexpected_exception_exits_four(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(cli, "cmd_generate", broken)
+        code, stdout, err = run_cli(
+            ["generate", "--family", "random", "--n", "4", "--delta", "1",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == cli.EXIT_INTERNAL == 4
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "RuntimeError: handler bug" in err
+        assert not stdout
 
     def test_json_output_parses(self, capsys):
         code, stdout, _ = run_cli(

@@ -246,6 +246,11 @@ class TestExactT:
         with pytest.raises(CapExceededError):
             exact_t(6, 1, 1, t_max=6, cap=100)
 
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_t_max_below_one_is_value_error(self, t_max):
+        with pytest.raises(ValueError, match="need t_max >= 1"):
+            exact_t(4, 1, 1, t_max=t_max)
+
 
 class TestAlphaProductBound:
     def test_symmetric_one_one(self):

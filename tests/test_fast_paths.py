@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from misrecon import oracle, reconstruct, schemes
 from misrecon.coverfree import SetFamily, is_cover_free
-from misrecon.graphs import Graph, VertexSet, sample_clique_family
+from misrecon.graphs import Graph, VertexSet, gen_bounded_degree, sample_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
     GreedyLexPolicy,
@@ -29,7 +29,7 @@ from misrecon.oracle import (
     run_scheme,
 )
 from misrecon.schemes import QueryScheme
-from misrecon.util import derive_seed
+from misrecon.util import derive_seed, shuffle
 
 # the host's speed varies, so no per-example deadline
 checked = settings(deadline=None, max_examples=150)
@@ -188,6 +188,75 @@ class TestEdgelessShortcut:
     def test_universe_mismatch_is_value_error(self):
         with pytest.raises(ValueError, match="universe mismatch"):
             random_mis(Graph.empty(3), VertexSet(5, 0b11000), 0)
+
+
+# lengths where the bit length of the draw bound changes: 2^k - 1, 2^k, 2^k + 1
+SHUFFLE_LENGTHS = sorted({0, 1} | {2**k + d for k in range(1, 9) for d in (-1, 0, 1)})
+
+# Random(seed) hashes seeds of any size (and sign) into its state
+ANY_SEED = st.one_of(SEEDS, st.integers(2**64, 2**256), st.integers(-(2**80), -1))
+
+
+class TestShuffle:
+    """util.shuffle makes the getrandbits calls Random.shuffle makes."""
+
+    @staticmethod
+    def assert_same_as_stdlib(length, seed):
+        expected, got = list(range(length)), list(range(length))
+        stdlib, inlined = random.Random(seed), random.Random(seed)
+        stdlib.shuffle(expected)
+        shuffle(inlined, got)
+        assert got == expected
+        assert inlined.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("length", SHUFFLE_LENGTHS)
+    @checked
+    @given(seed=ANY_SEED)
+    def test_equals_stdlib_at_bit_length_edges(self, length, seed):
+        self.assert_same_as_stdlib(length, seed)
+
+    @checked
+    @given(length=st.integers(0, 300), seed=ANY_SEED)
+    def test_equals_stdlib_at_any_length(self, length, seed):
+        self.assert_same_as_stdlib(length, seed)
+
+
+class TestGenBoundedDegree:
+    @checked
+    @given(data=st.data(), seed=SEEDS)
+    def test_equals_stdlib_shuffle_then_draws(self, data, seed):
+        n = data.draw(st.integers(0, 40))
+        delta = data.draw(st.integers(0, max(n - 1, 0)))
+        density = data.draw(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        )
+        fast = gen_bounded_degree(n, delta, density, seed)
+        assert fast == ref.gen_bounded_degree(n, delta, density, seed)
+
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_equals_reference_for_every_delta(self, density):
+        for delta in range(12):
+            for seed in range(3):
+                assert gen_bounded_degree(12, delta, density, seed) == (
+                    ref.gen_bounded_degree(12, delta, density, seed)
+                )
+
+
+class TestRandomMisPolicyShapes:
+    """The policy answers each G[Q] shape as a fresh generator per query does."""
+
+    @pytest.mark.parametrize(
+        "inner_edges", [no_inner_edge, one_inner_edge, dense_inner_edges]
+    )
+    @checked
+    @given(data=st.data(), seed=SEEDS, index=st.integers(0, 2**32))
+    def test_equals_fresh_generator_per_query(self, inner_edges, data, seed, index):
+        g, q = data.draw(query_with_inner_edges(inner_edges))
+        policy, reference = RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
+        # the whole vertex set first, so that q reseeds the policy's generator
+        every = VertexSet(g.n, (1 << g.n) - 1)
+        for query, at in ((every, index + 1), (q, index)):
+            assert policy.answer(g, query, at) == reference.answer(g, query, at)
 
 
 def pooled_scheme(n, max_pool=4, max_t=30):

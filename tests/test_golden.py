@@ -1,8 +1,9 @@
 """Golden outputs: seeded runs must write byte-identical files.
 
 The `reconstruct` digests were recorded before the scheme builder, the
-oracle and the decoder were rewritten with batched kernels, and the
-`profile-count` digest before run_scheme answered each distinct query once.
+oracle and the decoder were rewritten with batched kernels, the
+`profile-count` digest before run_scheme answered each distinct query once,
+and the `generate` digest while the generator still called Random.shuffle.
 A change that alters any of them on purpose must say so in CHANGES.md and
 record new digests here.
 """
@@ -71,6 +72,23 @@ PROFILE_COUNT = (
 def test_profile_count_report_matches_golden_digest(tmp_path, capsys):
     args, digest = PROFILE_COUNT
     out = tmp_path / "report.json"
+    code = main([*args, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+# 799 edges drawn from the 19,900 shuffled candidate pairs at n=200
+GENERATE = (
+    ["generate", "--family", "random", "--n", "200", "--delta", "8",
+     "--density", "0.5", "--seed", "11"],
+    "ca4bc83c744a52a59c1d6d90c01383318d5392321fd8237046acd894c8864245",
+)
+
+
+def test_generated_graph_matches_golden_digest(tmp_path, capsys):
+    args, digest = GENERATE
+    out = tmp_path / "graph.txt"
     code = main([*args, "--out", str(out)])
     capsys.readouterr()
     assert code == 0

@@ -187,6 +187,14 @@ class TestBoundTable:
         assert json.loads(text) == report.to_json_dict()
         assert report.to_json() == text
 
+    @pytest.mark.parametrize(
+        "n_values, delta_values",
+        [([], [1]), ([6], []), ([0, 1], [1]), ([2, 3], [0, 3]), ([4, 5], [0, 5])],
+    )
+    def test_no_valid_pair_is_value_error(self, n_values, delta_values):
+        with pytest.raises(ValueError, match="no \\(n, delta\\) pair"):
+            bound_table(n_values, delta_values)
+
     def test_csv_emission(self):
         report = bound_table([6, 9], [1, 2])
         csv = bound_table_csv(report)
