@@ -206,6 +206,12 @@ class TestExperimentDispatch:
              "need w >= 1 and r >= 0"),
             (["exact-t", "--n", "4", "--w", "1", "--r", "-1"],
              "need w >= 1 and r >= 0"),
+            (["profile-count", "--n", "9", "--delta", "2", "--queries", "-2",
+              "--seed", "5"], "need t >= 0 queries"),
+            (["duality", "--n", "6", "--delta", "2", "--queries", "-2",
+              "--seed", "4"], "need t >= 0 queries"),
+            (["dq-stats", "--n", "30", "--delta", "3", "--queries", "-2",
+              "--trials", "5", "--seed", "1"], "need t >= 0 queries"),
             # an empty search or table used to print PASS
             (["exact-t", "--n", "4", "--w", "1", "--r", "1", "--t-max", "-1"],
              "need t_max >= 1"),
@@ -215,12 +221,6 @@ class TestExperimentDispatch:
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
             (["bound-table", "--n-list", "4,5", "--delta-list", "0,5"],
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
-            (["profile-count", "--n", "9", "--delta", "2", "--queries", "-2",
-              "--seed", "5"], "need t >= 0 queries"),
-            (["duality", "--n", "6", "--delta", "2", "--queries", "-2",
-              "--seed", "4"], "need t >= 0 queries"),
-            (["dq-stats", "--n", "30", "--delta", "3", "--queries", "-2",
-              "--trials", "5", "--seed", "1"], "need t >= 0 queries"),
         ],
     )
     def test_negative_parameter_exits_two(self, args, message, capsys):
