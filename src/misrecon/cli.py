@@ -19,6 +19,7 @@ from pathlib import Path
 from . import coverfree, lowerbounds, reconstruct
 from .coverfree import CffConstructionError, CffParams, SetFamily, random_set_family
 from .graphs import (
+    DEFAULT_ENUM_CAP,
     Graph,
     gen_bounded_degree,
     graph_from_text,
@@ -60,23 +61,22 @@ def _emit_report(report: ExperimentReport, args) -> int:
     return EXIT_OK if report.passed else EXIT_BOUND_VIOLATION
 
 
-# CLI tokens for the two hidden-clique family variants
+# CLI tokens for the two hidden-clique family variants: their samplers, and
+# their names in family-count reports
+_FAMILY_SAMPLERS = {"thm2": sample_clique_family, "thm3": sample_blocked_clique_family}
 _FAMILY_TOKENS = {"thm2": "clique", "thm3": "clique-block"}
 
 
-def _generate_graph(args) -> tuple[Graph, object]:
+def _generate_graph(args) -> Graph:
     if args.family == "random":
         density = 1.0 if args.density is None else args.density
-        return gen_bounded_degree(args.n, args.delta, density, args.seed), None
-    if _FAMILY_TOKENS.get(args.family) == "clique":
-        return sample_clique_family(args.n, args.delta, args.seed)
-    if _FAMILY_TOKENS.get(args.family) == "clique-block":
-        return sample_blocked_clique_family(args.n, args.delta, args.seed)
-    raise ValueError(f"unknown family {args.family}")
+        return gen_bounded_degree(args.n, args.delta, density, args.seed)
+    g, _ = _FAMILY_SAMPLERS[args.family](args.n, args.delta, args.seed)
+    return g
 
 
 def cmd_generate(args) -> int:
-    g, _ = _generate_graph(args)
+    g = _generate_graph(args)
     _write(args.out, graph_to_text(g))
     print(
         f"generated family={args.family} n={g.n} m={g.num_edges} "
@@ -104,7 +104,7 @@ def cmd_reconstruct(args) -> int:
         if truth.n != args.n:
             raise ValueError("graph file does not match --n")
     else:
-        truth, _ = _generate_graph(args)
+        truth = _generate_graph(args)
     scheme = _build_scheme(args, truth.n, args.delta)
     policy = make_policy(args.policy, seed=derive_seed(args.seed, 2))
     transcript = run_scheme(truth, scheme, policy)
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a graph file")
-    gen.add_argument("--family", choices=["random", "thm2", "thm3"], required=True)
+    gen.add_argument("--family", choices=["random", *_FAMILY_SAMPLERS], required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--delta", type=int, required=True)
     gen.add_argument("--density", type=float, default=None)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--n", type=int, required=True)
     rec.add_argument("--delta", type=int, required=True)
     rec.add_argument("--graph", default=None, help="graph file; omit to generate")
-    rec.add_argument("--family", choices=["random", "thm2", "thm3"], default="random")
+    rec.add_argument("--family", choices=["random", *_FAMILY_SAMPLERS], default="random")
     rec.add_argument("--density", type=float, default=None)
     rec.add_argument("--scheme", default=None, help="scheme file; omit to build one")
     rec.add_argument("--scheme-kind", choices=["randomized", "cff"], default="cff")
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--ground", type=int, default=None)
     exp.add_argument("--density", type=float, default=0.5)
     exp.add_argument("--scheme", default=None)
-    exp.add_argument("--enum-cap", type=int, default=None)
+    exp.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     exp.add_argument("--n-list", default="6,9,12,15")
     exp.add_argument("--delta-list", default="1,2,3,4")
     exp.add_argument("--emit-csv", default=None)
@@ -344,10 +344,6 @@ def main(argv=None) -> int:
         if args.name == "lemma7" or args.name == "lemma8":
             if args.family is None and args.seed is None:
                 parser.error("random family requires --seed")
-        if args.enum_cap is None:
-            from .graphs import DEFAULT_ENUM_CAP
-
-            args.enum_cap = DEFAULT_ENUM_CAP
     try:
         return args.func(args)
     except CapExceededError as exc:

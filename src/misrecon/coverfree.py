@@ -120,10 +120,7 @@ def dual(f: SetFamily) -> SetFamily:
     Equal entries are kept as distinct indexed sets; the incidence matrix is
     simply transposed, so dual is an involution on incidence.
     """
-    sets = tuple(
-        frozenset(i for i, s in enumerate(f.sets) if x in s)
-        for x in range(f.ground_size)
-    )
+    sets = tuple(frozenset(iter_bits(m)) for m in f.membership_masks())
     return SetFamily(ground_size=f.n, sets=sets)
 
 

@@ -161,6 +161,29 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self._edges)}, delta={self.delta})"
 
 
+def family_shape(delta: int, blocked: bool) -> tuple[int, int, int]:
+    """(|U|, |W|, free slots per clique vertex) of a hidden-clique family.
+
+    The plain family has |U| = ceil(delta/2) and no block; the blocked one has
+    |U| = ceil(delta/3) and |W| = floor(delta/3). Every u in U spends the rest
+    of its degree budget, delta - (|U|-1) - |W|, on outside neighbours, so a
+    family has room for its members exactly when n > delta.
+    """
+    if not blocked and delta < 1:
+        raise ValueError("delta must be >= 1")
+    if blocked and delta < 3:
+        raise ValueError("delta must be >= 3 so the forced block is nonempty")
+    u_size, w_size = (
+        (math.ceil(delta / 3), delta // 3) if blocked else (math.ceil(delta / 2), 0)
+    )
+    return u_size, w_size, delta - (u_size - 1) - w_size
+
+
+def _require_room(n: int, delta: int) -> None:
+    if n <= delta:
+        raise ValueError("not enough outside vertices for neighbour choices")
+
+
 @dataclass(frozen=True)
 class AdversarialFamilyDesc:
     """Parameters of a hidden-clique graph family.
@@ -177,25 +200,31 @@ class AdversarialFamilyDesc:
     per_clique_free_slots: int = 0
 
     def __post_init__(self):
-        u_size = len(self.clique)
-        if self.clique.n != self.n:
-            raise ValueError("clique universe mismatch")
-        if self.forced_block is None:
-            if u_size != math.ceil(self.delta / 2):
-                raise ValueError("clique size must be ceil(delta/2)")
-            expected_slots = self.delta - (u_size - 1)
-        else:
-            if self.forced_block.n != self.n:
-                raise ValueError("forced block universe mismatch")
-            if not self.clique.isdisjoint(self.forced_block):
-                raise ValueError("clique and forced block must be disjoint")
-            if u_size != math.ceil(self.delta / 3):
-                raise ValueError("clique size must be ceil(delta/3)")
-            if len(self.forced_block) != self.delta // 3:
-                raise ValueError("forced block size must be floor(delta/3)")
-            expected_slots = self.delta - (u_size - 1) - len(self.forced_block)
-        if self.per_clique_free_slots != expected_slots or expected_slots < 0:
+        u_size, w_size, slots = family_shape(self.delta, self.forced_block is not None)
+        block = self._block()
+        if self.clique.n != self.n or block.n != self.n:
+            raise ValueError("clique or forced block universe mismatch")
+        if not self.clique.isdisjoint(block):
+            raise ValueError("clique and forced block must be disjoint")
+        if (len(self.clique), len(block)) != (u_size, w_size):
+            raise ValueError("clique and forced block sizes do not fit delta")
+        if self.per_clique_free_slots != slots:
             raise ValueError("per_clique_free_slots inconsistent with sizes")
+
+    def _block(self) -> VertexSet:
+        return VertexSet(self.n) if self.forced_block is None else self.forced_block
+
+    def parts(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+        """U, W and V \\ (U | W), each in ascending order; W is empty when absent."""
+        _require_room(self.n, self.delta)
+        block = self._block()
+        rest = (self.clique | block).complement()
+        return self.clique.members(), block.members(), list(rest)
+
+    def size(self) -> int:
+        """Number of family members: each u in U picks its slots from the rest."""
+        clique, _, rest = self.parts()
+        return math.comb(len(rest), self.per_clique_free_slots) ** len(clique)
 
 
 def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
@@ -227,6 +256,17 @@ def _clique_edges(members: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
 
 
+def _family_member(desc: AdversarialFamilyDesc, rng: random.Random) -> Graph:
+    """U as a clique joined completely to W, and each u in U, in ascending
+    order, joined to rng.sample(V \\ (U | W), slots)."""
+    clique, block, rest = desc.parts()
+    edges = _clique_edges(clique)
+    edges.extend((u, w) for u in clique for w in block)
+    for u in clique:
+        edges.extend((u, v) for v in rng.sample(rest, desc.per_clique_free_slots))
+    return Graph(desc.n, edges)
+
+
 def sample_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, AdversarialFamilyDesc]:
     """Uniform member of the hidden-clique family.
 
@@ -234,24 +274,8 @@ def sample_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, Adversar
     exactly delta-(|U|-1) neighbours without replacement from V\\U, and V\\U
     carries no edges.
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    u_size = math.ceil(delta / 2)
-    slots = delta - (u_size - 1)
-    if n - u_size < slots:
-        raise ValueError("not enough outside vertices for neighbour choices")
-    rng = random.Random(seed)
-    outside = range(u_size, n)
-    edges = _clique_edges(tuple(range(u_size)))
-    for u in range(u_size):
-        edges.extend((u, v) for v in rng.sample(outside, slots))
-    desc = AdversarialFamilyDesc(
-        n=n,
-        delta=delta,
-        clique=VertexSet.from_members(n, range(u_size)),
-        per_clique_free_slots=slots,
-    )
-    return Graph(n, edges), desc
+    desc = clique_family_desc(n, delta)
+    return _family_member(desc, random.Random(seed)), desc
 
 
 def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, AdversarialFamilyDesc]:
@@ -262,46 +286,56 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, 
     delta-(|U|-1)-|W| extra neighbours from the remaining vertices, and V\\U
     is independent.
     """
-    if delta < 3:
-        raise ValueError("delta must be >= 3 so the forced block is nonempty")
-    u_size = math.ceil(delta / 3)
-    w_size = delta // 3
-    slots = delta - (u_size - 1) - w_size
-    if n - u_size - w_size < slots:
-        raise ValueError("not enough outside vertices for neighbour choices")
+    u_size, w_size, slots = family_shape(delta, blocked=True)
+    _require_room(n, delta)
     rng = random.Random(seed)
     picked = rng.sample(range(n), u_size + w_size)
-    clique = tuple(sorted(picked[:u_size]))
-    block = tuple(sorted(picked[u_size:]))
-    rest = [v for v in range(n) if v not in set(picked)]
-    edges = _clique_edges(clique)
-    edges.extend((u, w) for u in clique for w in block)
-    for u in clique:
-        edges.extend((u, v) for v in rng.sample(rest, slots))
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, clique),
-        forced_block=VertexSet.from_members(n, block),
+        clique=VertexSet.from_members(n, picked[:u_size]),
+        forced_block=VertexSet.from_members(n, picked[u_size:]),
         per_clique_free_slots=slots,
     )
-    return Graph(n, edges), desc
+    return _family_member(desc, rng), desc
 
 
 def clique_family_size(n: int, delta: int) -> int:
-    u_size = math.ceil(delta / 2)
-    slots = delta - (u_size - 1)
-    return math.comb(n - u_size, slots) ** u_size
+    return clique_family_desc(n, delta).size()
 
 
 def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
-    u_size = math.ceil(delta / 2)
+    u_size, _, slots = family_shape(delta, blocked=False)
+    _require_room(n, delta)
     return AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, range(u_size)),
-        per_clique_free_slots=delta - (u_size - 1),
+        clique=VertexSet(n, (1 << u_size) - 1),
+        per_clique_free_slots=slots,
     )
+
+
+def enumerate_family(
+    desc: AdversarialFamilyDesc, cap: int = DEFAULT_ENUM_CAP
+) -> Iterator[Graph]:
+    """Yield every member of the described family exactly once.
+
+    Members come in the order of itertools.product over the clique vertices,
+    ascending, of their slot choices; enumeration is refused when the member
+    count exceeds cap.
+    """
+    clique, block, rest = desc.parts()
+    size = desc.size()
+    if size > cap:
+        raise CapExceededError(f"family size {size} exceeds cap {cap}")
+    base = _clique_edges(clique)
+    base.extend((u, w) for u in clique for w in block)
+    per_vertex = list(itertools.combinations(rest, desc.per_clique_free_slots))
+    for choices in itertools.product(per_vertex, repeat=len(clique)):
+        edges = list(base)
+        for u, chosen in zip(clique, choices):
+            edges.extend((u, v) for v in chosen)
+        yield Graph(desc.n, edges)
 
 
 def enumerate_clique_family(
@@ -312,54 +346,7 @@ def enumerate_clique_family(
     The member count equals binom(n-|U|, delta-|U|+1)^|U|; enumeration is
     refused when that count exceeds cap.
     """
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    u_size = math.ceil(delta / 2)
-    slots = delta - (u_size - 1)
-    if n - u_size < slots:
-        raise ValueError("not enough outside vertices for neighbour choices")
-    size = clique_family_size(n, delta)
-    if size > cap:
-        raise CapExceededError(f"family size {size} exceeds cap {cap}")
-    base = _clique_edges(tuple(range(u_size)))
-    outside = range(u_size, n)
-    per_vertex = list(itertools.combinations(outside, slots))
-    for choices in itertools.product(per_vertex, repeat=u_size):
-        edges = list(base)
-        for u, chosen in enumerate(choices):
-            edges.extend((u, v) for v in chosen)
-        yield Graph(n, edges)
-
-
-def enumerate_blocked_clique_family(
-    n: int,
-    delta: int,
-    clique: VertexSet,
-    forced_block: VertexSet,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Iterator[Graph]:
-    """Yield every member of the forced-block family for a fixed (U, W)."""
-    if delta < 3:
-        raise ValueError("delta must be >= 3")
-    u_members = clique.members()
-    w_members = forced_block.members()
-    slots = delta - (len(u_members) - 1) - len(w_members)
-    rest = [
-        v for v in range(n) if v not in clique and v not in forced_block
-    ]
-    if len(rest) < slots:
-        raise ValueError("not enough outside vertices for neighbour choices")
-    size = math.comb(len(rest), slots) ** len(u_members)
-    if size > cap:
-        raise CapExceededError(f"family size {size} exceeds cap {cap}")
-    base = _clique_edges(u_members)
-    base.extend((u, w) for u in u_members for w in w_members)
-    per_vertex = list(itertools.combinations(rest, slots))
-    for choices in itertools.product(per_vertex, repeat=len(u_members)):
-        edges = list(base)
-        for u, chosen in zip(u_members, choices):
-            edges.extend((u, v) for v in chosen)
-        yield Graph(n, edges)
+    yield from enumerate_family(clique_family_desc(n, delta), cap)
 
 
 @functools.lru_cache(maxsize=4)

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .graphs import AdversarialFamilyDesc, Graph
+from .graphs import AdversarialFamilyDesc, Graph, family_shape
 from .oracle import AdversarialCliquePolicy, run_scheme
 from .reports import BoundCheck, ExperimentReport
 from .schemes import QueryScheme
@@ -121,10 +121,7 @@ def dq_statistics(
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
-    if delta < 3:
-        raise ValueError("delta must be >= 3 so the forced block is nonempty")
-    u_size = math.ceil(delta / 3)
-    w_size = delta // 3
+    u_size, w_size, _ = family_shape(delta, blocked=True)
     if u_size + w_size > n:
         raise ValueError("n too small for the requested delta")
 
@@ -216,19 +213,9 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
     """
     if variant not in ("clique", "clique-block"):
         raise ValueError("variant must be 'clique' or 'clique-block'")
-    if variant == "clique":
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
-        u_size = math.ceil(delta / 2)
-        w_size = 0
-        power = 4
-    else:
-        if delta < 3:
-            raise ValueError("delta must be >= 3 for the clique-block variant")
-        u_size = math.ceil(delta / 3)
-        w_size = delta // 3
-        power = 9
-    slots = delta - (u_size - 1) - w_size
+    blocked = variant == "clique-block"
+    u_size, w_size, slots = family_shape(delta, blocked)
+    power = 9 if blocked else 4
     if n - u_size - w_size < slots:
         raise ValueError("n too small for the neighbour choices")
     exact = math.comb(n - u_size - w_size, slots) ** u_size

@@ -162,11 +162,7 @@ def cff_scheme(
             raise SchemeConstructionError(
                 f"builder family is not (2,{2 * delta})-cover-free: {witness}"
             )
-    queries = tuple(
-        VertexSet.from_members(n, (v for v, s in enumerate(family.sets) if x in s))
-        for x in range(family.ground_size)
-    )
-    return QueryScheme(n, queries)
+    return QueryScheme(n, tuple(VertexSet(n, m) for m in family.membership_masks()))
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,32 @@ These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme draws,
 the graph generator and oracle answers on the stdlib Random.shuffle,
 decoding, one policy call and one MIS check per query,
-the 2^|Q| subset scan for maximal independent sets, and the frozenset
-cover-free checker. Property tests require the
+the 2^|Q| subset scan for maximal independent sets, the frozenset
+cover-free checker, the `x in s` scans of the dual family and the CFF
+scheme's queries, and the separate plain and blocked hidden-clique samplers,
+enumerators and count chain. Property tests require the
 library to agree with them bit for bit on every input. It also holds the
 small graph helpers that only the tests use.
 """
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from misrecon.coverfree import CoverViolation, SetFamily
-from misrecon.graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
+from misrecon.graphs import (
+    DEFAULT_ENUM_CAP,
+    AdversarialFamilyDesc,
+    Graph,
+    VertexSet,
+    enumerate_bounded_degree_graphs,
+)
+from misrecon.lowerbounds import _chain_checks
 from misrecon.oracle import OracleError, Transcript
+from misrecon.reports import ExperimentReport
 from misrecon.schemes import QueryScheme, SchemeViolation
-from misrecon.util import derive_seed, iter_bits
+from misrecon.util import CapExceededError, derive_seed, iter_bits
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -215,3 +227,181 @@ def is_cover_free(f: SetFamily, w: int, r: int):
             if inter <= union:
                 return CoverViolation(a_idx, b_idx, tuple(sorted(inter)))
     return True
+
+
+def dual(f: SetFamily) -> SetFamily:
+    """One `x in s` scan over the sets per ground element."""
+    sets = tuple(
+        frozenset(i for i, s in enumerate(f.sets) if x in s)
+        for x in range(f.ground_size)
+    )
+    return SetFamily(ground_size=f.n, sets=sets)
+
+
+def cff_queries(n: int, family: SetFamily) -> tuple[VertexSet, ...]:
+    """The CFF scheme's queries, query_x = {v : x in R_v}, by `x in s` scans."""
+    return tuple(
+        VertexSet.from_members(n, (v for v, s in enumerate(family.sets) if x in s))
+        for x in range(family.ground_size)
+    )
+
+
+def _clique_edges(members):
+    return [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+
+
+def sample_clique_family(n: int, delta: int, seed: int):
+    """U = {0..ceil(delta/2)-1}; each u draws rng.sample(range(|U|, n), slots)."""
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    u_size = math.ceil(delta / 2)
+    slots = delta - (u_size - 1)
+    if n - u_size < slots:
+        raise ValueError("not enough outside vertices for neighbour choices")
+    rng = random.Random(seed)
+    outside = range(u_size, n)
+    edges = _clique_edges(tuple(range(u_size)))
+    for u in range(u_size):
+        edges.extend((u, v) for v in rng.sample(outside, slots))
+    desc = AdversarialFamilyDesc(
+        n=n,
+        delta=delta,
+        clique=VertexSet.from_members(n, range(u_size)),
+        per_clique_free_slots=slots,
+    )
+    return Graph(n, edges), desc
+
+
+def sample_blocked_clique_family(n: int, delta: int, seed: int):
+    """(U, W) from one rng.sample(range(n), |U|+|W|), then each u in U draws
+    rng.sample(rest, slots) from the remaining vertices."""
+    if delta < 3:
+        raise ValueError("delta must be >= 3 so the forced block is nonempty")
+    u_size = math.ceil(delta / 3)
+    w_size = delta // 3
+    slots = delta - (u_size - 1) - w_size
+    if n - u_size - w_size < slots:
+        raise ValueError("not enough outside vertices for neighbour choices")
+    rng = random.Random(seed)
+    picked = rng.sample(range(n), u_size + w_size)
+    clique = tuple(sorted(picked[:u_size]))
+    block = tuple(sorted(picked[u_size:]))
+    rest = [v for v in range(n) if v not in set(picked)]
+    edges = _clique_edges(clique)
+    edges.extend((u, w) for u in clique for w in block)
+    for u in clique:
+        edges.extend((u, v) for v in rng.sample(rest, slots))
+    desc = AdversarialFamilyDesc(
+        n=n,
+        delta=delta,
+        clique=VertexSet.from_members(n, clique),
+        forced_block=VertexSet.from_members(n, block),
+        per_clique_free_slots=slots,
+    )
+    return Graph(n, edges), desc
+
+
+def clique_family_size(n: int, delta: int) -> int:
+    u_size = math.ceil(delta / 2)
+    slots = delta - (u_size - 1)
+    return math.comb(n - u_size, slots) ** u_size
+
+
+def enumerate_clique_family(n: int, delta: int, cap: int = DEFAULT_ENUM_CAP):
+    """Slot choices of the plain family in itertools.product order."""
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    u_size = math.ceil(delta / 2)
+    slots = delta - (u_size - 1)
+    if n - u_size < slots:
+        raise ValueError("not enough outside vertices for neighbour choices")
+    size = clique_family_size(n, delta)
+    if size > cap:
+        raise CapExceededError(f"family size {size} exceeds cap {cap}")
+    base = _clique_edges(tuple(range(u_size)))
+    outside = range(u_size, n)
+    per_vertex = list(itertools.combinations(outside, slots))
+    for choices in itertools.product(per_vertex, repeat=u_size):
+        edges = list(base)
+        for u, chosen in enumerate(choices):
+            edges.extend((u, v) for v in chosen)
+        yield Graph(n, edges)
+
+
+def enumerate_blocked_clique_family(
+    n: int,
+    delta: int,
+    clique: VertexSet,
+    forced_block: VertexSet,
+    cap: int = DEFAULT_ENUM_CAP,
+):
+    """Slot choices of the forced-block family for a fixed (U, W)."""
+    if delta < 3:
+        raise ValueError("delta must be >= 3")
+    u_members = clique.members()
+    w_members = forced_block.members()
+    slots = delta - (len(u_members) - 1) - len(w_members)
+    rest = [
+        v for v in range(n) if v not in clique and v not in forced_block
+    ]
+    if len(rest) < slots:
+        raise ValueError("not enough outside vertices for neighbour choices")
+    size = math.comb(len(rest), slots) ** len(u_members)
+    if size > cap:
+        raise CapExceededError(f"family size {size} exceeds cap {cap}")
+    base = _clique_edges(u_members)
+    base.extend((u, w) for u in u_members for w in w_members)
+    per_vertex = list(itertools.combinations(rest, slots))
+    for choices in itertools.product(per_vertex, repeat=len(u_members)):
+        edges = list(base)
+        for u, chosen in zip(u_members, choices):
+            edges.extend((u, v) for v in chosen)
+        yield Graph(n, edges)
+
+
+def family_count_check(n: int, delta: int, variant: str = "clique") -> ExperimentReport:
+    """The count chain with the family shape decided per variant."""
+    if variant not in ("clique", "clique-block"):
+        raise ValueError("variant must be 'clique' or 'clique-block'")
+    if variant == "clique":
+        if delta < 1:
+            raise ValueError("delta must be >= 1")
+        u_size = math.ceil(delta / 2)
+        w_size = 0
+        power = 4
+    else:
+        if delta < 3:
+            raise ValueError("delta must be >= 3 for the clique-block variant")
+        u_size = math.ceil(delta / 3)
+        w_size = delta // 3
+        power = 9
+    slots = delta - (u_size - 1) - w_size
+    if n - u_size - w_size < slots:
+        raise ValueError("n too small for the neighbour choices")
+    exact = math.comb(n - u_size - w_size, slots) ** u_size
+    binom_bound = math.comb(n - delta, u_size) ** u_size
+    ratio_bound = Fraction(n - delta, u_size) ** (u_size * u_size)
+    final_display = ((n - delta) / delta) ** (delta * delta / power)
+    chain_pow = [
+        ("exact_count", exact, Fraction(exact) ** power),
+        ("binomial_bound", binom_bound, Fraction(binom_bound) ** power),
+        ("ratio_bound", float(ratio_bound), ratio_bound**power),
+        ("final_bound", final_display, Fraction(n - delta, delta) ** (delta * delta)),
+    ]
+    checks = _chain_checks(chain_pow, power)
+    return ExperimentReport(
+        name="family-count-chain",
+        parameters={
+            "n": n, "delta": delta, "variant": variant,
+            "clique_size": u_size, "block_size": w_size,
+            "free_slots": slots,
+        },
+        measured={"exact_count": exact},
+        bounds={
+            "binomial_bound": binom_bound,
+            "ratio_bound": float(ratio_bound),
+            "final_bound": final_display,
+            "final_bound_exponent": f"{delta * delta}/{power}",
+        },
+        checks=checks,
+    )

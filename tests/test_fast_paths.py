@@ -1,10 +1,12 @@
 """The batched and pruned library paths against scalar references.
 
 Each fast path (scheme builder, oracle, decoder and the exhaustive checkers)
-must give exactly the output of the loop kept in scalar_reference.py, on
-every input hypothesis draws.
+and each folded path (the dual transpose and the one hidden-clique family
+builder) must give exactly the output of the code kept in
+scalar_reference.py, on every input hypothesis draws.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -14,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from misrecon import oracle, reconstruct, schemes
-from misrecon.coverfree import SetFamily, is_cover_free
+from misrecon import graphs as lib_graphs
+from misrecon import lowerbounds, oracle, reconstruct, schemes
+from misrecon.coverfree import SetFamily, dual, is_cover_free
 from misrecon.graphs import Graph, VertexSet, gen_bounded_degree, sample_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
@@ -29,7 +32,7 @@ from misrecon.oracle import (
     run_scheme,
 )
 from misrecon.schemes import QueryScheme
-from misrecon.util import derive_seed, shuffle
+from misrecon.util import CapExceededError, derive_seed, shuffle
 
 # the host's speed varies, so no per-example deadline
 checked = settings(deadline=None, max_examples=150)
@@ -525,3 +528,100 @@ class TestIsQueryScheme:
     def test_equals_reference_pair_loop(self, scheme, delta):
         result = schemes.is_query_scheme(scheme, delta)
         assert result == ref.is_query_scheme(scheme, delta)
+
+
+class TestMembershipTranspose:
+    @checked
+    @given(case=families(max_n=10, max_ground=8))
+    def test_dual_equals_membership_scan(self, case):
+        f, _ = case
+        assert dual(f) == ref.dual(f)
+
+    @checked
+    @given(case=families(max_n=10, max_ground=8).filter(lambda case: case[0].n >= 2))
+    def test_cff_queries_equal_membership_scan(self, case):
+        f, _ = case
+        scheme = schemes.cff_scheme(f.n, 1, builder=lambda *_: f, verify=False)
+        assert scheme.queries == ref.cff_queries(f.n, f)
+
+
+def outcome(fn, *args):
+    """fn(*args) with any generator drained, or the message of its ValueError."""
+    try:
+        result = fn(*args)
+        return list(result) if inspect.isgenerator(result) else result
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def blocked_parts(draw, max_n=9):
+    """Disjoint (U, W) of the blocked family's sizes, on n up to max_n
+    vertices, some of them too few for the neighbour choices."""
+    delta = draw(st.sampled_from([3, 4, 5]))
+    u_size, w_size = math.ceil(delta / 3), delta // 3
+    n = draw(st.integers(u_size + w_size, max_n))
+    order = draw(st.permutations(range(n)))
+    clique = VertexSet.from_members(n, order[:u_size])
+    block = VertexSet.from_members(n, order[u_size : u_size + w_size])
+    return n, delta, clique, block
+
+
+class TestHiddenCliqueFamilies:
+    """The plain family is the blocked one with W empty: one shape, one member
+    builder and one enumerator must reproduce both former code paths."""
+
+    @checked
+    @given(n=st.integers(-2, 40), delta=st.integers(-2, 12), seed=SEEDS)
+    @example(n=2, delta=2, seed=0)  # |U| = 1 fits, two slots do not
+    @example(n=1, delta=4, seed=0)  # fewer vertices than |U|
+    @example(n=5, delta=4, seed=0)  # exactly enough outside vertices
+    @example(n=10, delta=2, seed=0)  # no forced block possible
+    @example(n=3, delta=3, seed=0)  # U and W fit, their slots do not
+    @example(n=4, delta=3, seed=0)  # the smallest blocked family
+    @pytest.mark.parametrize("name", ["sample_clique_family", "sample_blocked_clique_family"])
+    def test_samplers_equal_reference(self, name, n, delta, seed):
+        fast = outcome(getattr(lib_graphs, name), n, delta, seed)
+        assert fast == outcome(getattr(ref, name), n, delta, seed)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_plain_enumeration_equals_reference_in_order(self, n):
+        for delta in range(-1, 10):
+            fast = outcome(lib_graphs.enumerate_clique_family, n, delta)
+            assert fast == outcome(ref.enumerate_clique_family, n, delta), delta
+            if n > delta >= 1:
+                assert lib_graphs.clique_family_size(n, delta) == len(fast)
+                assert len(fast) == ref.clique_family_size(n, delta)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=blocked_parts())
+    def test_blocked_enumeration_equals_reference_in_order(self, case):
+        n, delta, clique, block = case
+        desc = lib_graphs.AdversarialFamilyDesc(
+            n=n, delta=delta, clique=clique, forced_block=block,
+            per_clique_free_slots=delta - (len(clique) - 1) - len(block),
+        )
+        fast = outcome(lib_graphs.enumerate_family, desc)
+        assert fast == outcome(ref.enumerate_blocked_clique_family, n, delta, clique, block)
+
+    def test_enumeration_cap_equals_reference(self):
+        with pytest.raises(CapExceededError) as fast:
+            list(lib_graphs.enumerate_clique_family(12, 4, cap=14_399))
+        with pytest.raises(CapExceededError) as want:
+            list(ref.enumerate_clique_family(12, 4, cap=14_399))
+        assert str(fast.value) == str(want.value)
+        assert len(list(lib_graphs.enumerate_clique_family(12, 4, cap=14_400))) == 14_400
+
+    @pytest.mark.parametrize("variant", ["clique", "clique-block"])
+    def test_family_count_check_equals_reference(self, variant):
+        for n in range(16):
+            for delta in range(-1, 10):
+                try:
+                    want = ref.family_count_check(n, delta, variant).to_json()
+                except ValueError:
+                    # only the kind is compared: the blocked family's
+                    # delta < 3 message is the one graphs.family_shape raises
+                    with pytest.raises(ValueError):
+                        lowerbounds.family_count_check(n, delta, variant)
+                    continue
+                assert lowerbounds.family_count_check(n, delta, variant).to_json() == want

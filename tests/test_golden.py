@@ -3,7 +3,9 @@
 The `reconstruct` digests were recorded before the scheme builder, the
 oracle and the decoder were rewritten with batched kernels, the
 `profile-count` digest before run_scheme answered each distinct query once,
-and the `generate` digest while the generator still called Random.shuffle.
+the `generate` digest while the generator still called Random.shuffle, and
+the hidden-clique digests while the plain and blocked families were still
+built by two separate samplers and enumerators.
 A change that alters any of them on purpose must say so in CHANGES.md and
 record new digests here.
 """
@@ -39,6 +41,12 @@ GOLDEN = {
          "--seed", "13"],
         "0348428ae26eb517118d94ec9f4b6a8a0ca57af456ffcc0498792ec6874c4206",
         "da0a9f5a7574c26347e0d736c38228750664a335957a1bc2d36d33f55d7c1592",
+    ),
+    # the truth is a sampled member of the blocked hidden-clique family
+    "thm3-cff-greedy-lex": (
+        ["--n", "30", "--delta", "6", "--family", "thm3", "--seed", "5"],
+        "ec5fe745cdad3c26614fc88fa62fc07cd8a2ee7332983ee662ee1ffff6dfcf9f",
+        "cb67bb0b8cdc0dcde5cb9b947ffc177e5a807768238d441f599997bd8d8bf5b3",
     ),
 }
 
@@ -89,6 +97,40 @@ GENERATE = (
 def test_generated_graph_matches_golden_digest(tmp_path, capsys):
     args, digest = GENERATE
     out = tmp_path / "graph.txt"
+    code = main([*args, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+# members of both hidden-clique families, the blocked family's count chain
+# and the answer-count statistics over sampled (U, W)
+HIDDEN_CLIQUE = {
+    "generate-thm2": (
+        ["generate", "--family", "thm2", "--n", "40", "--delta", "6", "--seed", "21"],
+        "2d2b8ba97e8f8679c615664c3421ccb8c7f16f278c7206dee95b31df37168c7c",
+    ),
+    "generate-thm3": (
+        ["generate", "--family", "thm3", "--n", "40", "--delta", "7", "--seed", "22"],
+        "9626d4a4df53a0f5bf3dd072156fdf8d71dc6f97164bbd1a47ba1b03e581c3b6",
+    ),
+    "family-count-thm3": (
+        ["experiment", "family-count", "--n", "12", "--delta", "4",
+         "--variant", "thm3", "--json"],
+        "3fde8f46688192b51d7e77978c7924f14d37c5b2601176698af0ce19148cd34b",
+    ),
+    "dq-stats": (
+        ["experiment", "dq-stats", "--n", "30", "--delta", "6", "--queries", "5",
+         "--trials", "200", "--seed", "7", "--json"],
+        "f6cef8d4e8ff533cd867a0a8b2abc0b471f566adfa44daba6c41e43d0c4f1ebd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIDDEN_CLIQUE))
+def test_hidden_clique_outputs_match_golden_digests(name, tmp_path, capsys):
+    args, digest = HIDDEN_CLIQUE[name]
+    out = tmp_path / "out"
     code = main([*args, "--out", str(out)])
     capsys.readouterr()
     assert code == 0

@@ -1,5 +1,6 @@
 """Graph type, generators, adversarial families, and the text format."""
 
+import inspect
 import itertools
 import math
 
@@ -11,7 +12,7 @@ from misrecon.graphs import (
     VertexSet,
     enumerate_bounded_degree_graphs,
     enumerate_clique_family,
-    enumerate_blocked_clique_family,
+    enumerate_family,
     gen_bounded_degree,
     graph_from_text,
     graph_to_text,
@@ -191,10 +192,19 @@ class TestFamilyEnumeration:
         with pytest.raises(CapExceededError):
             list(enumerate_clique_family(40, 8, cap=1000))
 
+    def test_clique_family_enumerator_is_a_generator_function(self):
+        # perfbench/tracer.py consumes a generator function inside its span;
+        # a plain function that returned a generator would move the
+        # enumeration out of the graphs.enum span
+        assert inspect.isgeneratorfunction(enumerate_clique_family)
+
     def test_forced_block_enumeration_count(self):
         u = VertexSet.from_members(12, [0])
         w = VertexSet.from_members(12, [1])
-        members = list(enumerate_blocked_clique_family(12, 3, u, w))
+        desc = AdversarialFamilyDesc(
+            n=12, delta=3, clique=u, forced_block=w, per_clique_free_slots=2
+        )
+        members = list(enumerate_family(desc))
         assert len(members) == len(set(members)) == math.comb(10, 2) == 45
 
     def test_bounded_degree_graph_counts(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from misrecon.graphs import VertexSet, enumerate_clique_family, enumerate_blocked_clique_family, clique_family_desc
+from misrecon.graphs import VertexSet, enumerate_clique_family, enumerate_family, clique_family_desc
 from misrecon.lowerbounds import (
     best_decoder_success,
     bound_table,
@@ -69,7 +69,7 @@ class TestProfileCount:
         desc = AdversarialFamilyDesc(
             n=12, delta=3, clique=u, forced_block=w, per_clique_free_slots=2
         )
-        family = list(enumerate_blocked_clique_family(12, 3, u, w))
+        family = list(enumerate_family(desc))
         scheme = random_queries(12, 3, 0.5, seed=seed)
         report = profile_count(scheme, family, desc)
         assert report.passed
