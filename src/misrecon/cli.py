@@ -135,19 +135,6 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-_REQUIRED_FLAGS = {
-    "profile-count": ("n", "delta", "queries"),
-    "dq-stats": ("n", "delta"),
-    "family-count": ("n", "delta"),
-    "lemma7": ("w", "r"),
-    "lemma8": ("w", "r"),
-    "alpha-bound": ("w", "r"),
-    "duality": ("delta",),
-    "exact-t": ("n", "w", "r"),
-    "bound-table": (),
-}
-
-
 def _require(args, names):
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
@@ -155,108 +142,128 @@ def _require(args, names):
         raise ValueError(f"experiment {args.name} requires {flags}")
 
 
-def cmd_experiment(args) -> int:
-    name = args.name
-    _require(args, _REQUIRED_FLAGS[name])
-    if name == "alpha-bound":
-        deviation = coverfree.alpha_product_bound(args.w, args.r, args.grid)
-        passed = deviation <= 1e-12
-        report = ExperimentReport(
-            name="alpha-product-bound",
-            parameters={"w": args.w, "r": args.r, "grid": args.grid},
-            measured={"max_deviation": deviation},
-            bounds={"tolerance": 1e-12},
-            checks=(
-                BoundCheck("grid_max_le_closed_form", deviation, "<=", 1e-12, passed),
-            ),
-        )
-        return _emit_report(report, args)
-    if name == "exact-t":
-        found = coverfree.exact_t(args.n, args.w, args.r, args.t_max)
-        report = ExperimentReport(
-            name="exact-minimal-ground-size",
-            parameters={"n": args.n, "w": args.w, "r": args.r, "t_max": args.t_max},
-            measured={"t": found if found is not None else "not-found"},
-        )
-        return _emit_report(report, args)
-    if name == "family-count":
-        report = lowerbounds.family_count_check(
-            args.n, args.delta, _FAMILY_TOKENS[args.variant]
-        )
-        return _emit_report(report, args)
-    if name == "bound-table":
-        report = lowerbounds.bound_table(
-            _parse_int_list(args.n_list), _parse_int_list(args.delta_list)
-        )
-        if args.emit_csv:
-            _write(args.emit_csv, lowerbounds.bound_table_csv(report))
-        return _emit_report(report, args)
-    if name == "profile-count":
+def _alpha_bound(args) -> ExperimentReport:
+    deviation = coverfree.alpha_product_bound(args.w, args.r, args.grid)
+    passed = deviation <= 1e-12
+    return ExperimentReport(
+        name="alpha-product-bound",
+        parameters={"w": args.w, "r": args.r, "grid": args.grid},
+        measured={"max_deviation": deviation},
+        bounds={"tolerance": 1e-12},
+        checks=(
+            BoundCheck("grid_max_le_closed_form", deviation, "<=", 1e-12, passed),
+        ),
+    )
+
+
+def _exact_t(args) -> ExperimentReport:
+    found = coverfree.exact_t(args.n, args.w, args.r, args.t_max)
+    return ExperimentReport(
+        name="exact-minimal-ground-size",
+        parameters={"n": args.n, "w": args.w, "r": args.r, "t_max": args.t_max},
+        measured={"t": found if found is not None else "not-found"},
+    )
+
+
+def _family_count(args) -> ExperimentReport:
+    return lowerbounds.family_count_check(
+        args.n, args.delta, _FAMILY_TOKENS[args.variant]
+    )
+
+
+def _bound_table(args) -> ExperimentReport:
+    report = lowerbounds.bound_table(
+        _parse_int_list(args.n_list), _parse_int_list(args.delta_list)
+    )
+    if args.emit_csv:
+        _write(args.emit_csv, lowerbounds.bound_table_csv(report))
+    return report
+
+
+def _profile_count(args) -> ExperimentReport:
+    p = args.p if args.p is not None else 0.5
+    scheme = random_queries(args.n, args.queries, p, derive_seed(args.seed, 1))
+    desc = clique_family_desc(args.n, args.delta)
+    family = enumerate_clique_family(args.n, args.delta, cap=args.enum_cap)
+    return lowerbounds.profile_count(scheme, family, desc)
+
+
+def _dq_stats(args) -> ExperimentReport:
+    p = args.p if args.p is not None else 1.0 / (args.delta + 1)
+
+    def scheme_gen(seed: int) -> QueryScheme:
+        return random_queries(args.n, args.queries, p, seed)
+
+    return lowerbounds.dq_statistics(
+        args.n, args.delta, scheme_gen, args.trials, args.seed,
+        threads=args.threads,
+    )
+
+
+def _on_set_family(experiment):
+    """Handler that runs a seeded coverfree experiment on --family or a random one."""
+
+    def run(args) -> ExperimentReport:
+        family = _load_or_random_family(args)
+        params = CffParams(args.w, args.r, args.s)
+        return experiment(family, params, args.trials, args.seed, threads=args.threads)
+
+    return run
+
+
+def _duality(args) -> ExperimentReport:
+    if args.scheme is not None:
+        scheme = QueryScheme.from_text(Path(args.scheme).read_text())
+    else:
+        if args.seed is None:
+            raise ValueError("random scheme needs --seed")
+        if args.n is None:
+            raise ValueError("random scheme needs --n")
         p = args.p if args.p is not None else 0.5
-        scheme = random_queries(args.n, args.queries, p, derive_seed(args.seed, 1))
-        desc = clique_family_desc(args.n, args.delta)
-        family = enumerate_clique_family(args.n, args.delta, cap=args.enum_cap)
-        report = lowerbounds.profile_count(scheme, family, desc)
-        return _emit_report(report, args)
-    if name == "dq-stats":
-        p = args.p if args.p is not None else 1.0 / (args.delta + 1)
-
-        def scheme_gen(seed: int) -> QueryScheme:
-            return random_queries(args.n, args.queries, p, seed)
-
-        report = lowerbounds.dq_statistics(
-            args.n, args.delta, scheme_gen, args.trials, args.seed,
-            threads=args.threads,
-        )
-        return _emit_report(report, args)
-    if name == "lemma7":
-        family = _load_or_random_family(args)
-        params = CffParams(args.w, args.r, args.s)
-        report = coverfree.survivor_count_experiment(
-            family, params, args.trials, args.seed, threads=args.threads
-        )
-        return _emit_report(report, args)
-    if name == "lemma8":
-        family = _load_or_random_family(args)
-        params = CffParams(args.w, args.r, args.s)
-        report = coverfree.cover_witness_search(
-            family, params, args.trials, args.seed, threads=args.threads
-        )
-        return _emit_report(report, args)
-    if name == "duality":
-        if args.scheme is not None:
-            scheme = QueryScheme.from_text(Path(args.scheme).read_text())
-        else:
-            if args.seed is None:
-                raise ValueError("random scheme needs --seed")
-            if args.n is None:
-                raise ValueError("random scheme needs --n")
-            p = args.p if args.p is not None else 0.5
-            scheme = random_queries(args.n, args.queries, p, args.seed)
-        dreport = duality_check(scheme, args.delta)
-        report = ExperimentReport(
-            name="scheme-cff-duality",
-            parameters={"n": scheme.n, "delta": args.delta, "queries": len(scheme)},
-            measured={
-                "is_query_scheme": dreport.is_scheme,
-                "dual_cover_free_necessary": dreport.dual_cover_free_necessary,
-                "dual_cover_free_sufficient": dreport.dual_cover_free_sufficient,
-            },
-            checks=(
-                BoundCheck(
-                    "scheme_implies_dual_cover_free",
-                    dreport.is_scheme, "=>", dreport.dual_cover_free_necessary,
-                    dreport.necessity_holds,
-                ),
-                BoundCheck(
-                    "dual_cover_free_implies_scheme",
-                    dreport.dual_cover_free_sufficient, "=>", dreport.is_scheme,
-                    dreport.sufficiency_holds,
-                ),
+        scheme = random_queries(args.n, args.queries, p, args.seed)
+    dreport = duality_check(scheme, args.delta)
+    return ExperimentReport(
+        name="scheme-cff-duality",
+        parameters={"n": scheme.n, "delta": args.delta, "queries": len(scheme)},
+        measured={
+            "is_query_scheme": dreport.is_scheme,
+            "dual_cover_free_necessary": dreport.dual_cover_free_necessary,
+            "dual_cover_free_sufficient": dreport.dual_cover_free_sufficient,
+        },
+        checks=(
+            BoundCheck(
+                "scheme_implies_dual_cover_free",
+                dreport.is_scheme, "=>", dreport.dual_cover_free_necessary,
+                dreport.necessity_holds,
             ),
-        )
-        return _emit_report(report, args)
-    raise ValueError(f"unknown experiment {name}")
+            BoundCheck(
+                "dual_cover_free_implies_scheme",
+                dreport.dual_cover_free_sufficient, "=>", dreport.is_scheme,
+                dreport.sufficiency_holds,
+            ),
+        ),
+    )
+
+
+# name -> (required flags, handler), in the order `experiment --help` lists
+# them; main rejects a missing --seed through the parser before any other flag
+_EXPERIMENTS = {
+    "profile-count": (("seed", "n", "delta", "queries"), _profile_count),
+    "dq-stats": (("seed", "n", "delta"), _dq_stats),
+    "family-count": (("n", "delta"), _family_count),
+    "lemma7": (("seed", "w", "r"), _on_set_family(coverfree.survivor_count_experiment)),
+    "lemma8": (("seed", "w", "r"), _on_set_family(coverfree.cover_witness_search)),
+    "alpha-bound": (("w", "r"), _alpha_bound),
+    "duality": (("delta",), _duality),
+    "exact-t": (("n", "w", "r"), _exact_t),
+    "bound-table": ((), _bound_table),
+}
+
+
+def cmd_experiment(args) -> int:
+    required, run = _EXPERIMENTS[args.name]
+    _require(args, required)
+    return _emit_report(run(args), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,13 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.set_defaults(func=cmd_reconstruct)
 
     exp = sub.add_parser("experiment", help="run a named experiment")
-    exp.add_argument(
-        "name",
-        choices=[
-            "profile-count", "dq-stats", "family-count", "lemma7", "lemma8",
-            "alpha-bound", "duality", "exact-t", "bound-table",
-        ],
-    )
+    exp.add_argument("name", choices=list(_EXPERIMENTS))
     exp.add_argument("--n", type=int, default=None)
     exp.add_argument("--delta", type=int, default=None)
     exp.add_argument("--variant", choices=["thm2", "thm3"], default="thm2")
@@ -332,18 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANDOMIZED_EXPERIMENTS = {"profile-count", "dq-stats", "lemma7", "lemma8"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "experiment":
-        if args.name in _RANDOMIZED_EXPERIMENTS and args.seed is None:
+    if args.command == "experiment" and args.seed is None:
+        if "seed" in _EXPERIMENTS[args.name][0]:
             parser.error(f"experiment {args.name} requires --seed")
-        if args.name == "lemma7" or args.name == "lemma8":
-            if args.family is None and args.seed is None:
-                parser.error("random family requires --seed")
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -135,3 +135,61 @@ def test_hidden_clique_outputs_match_golden_digests(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out) == digest
+
+
+# one report per experiment not pinned above, recorded before the experiment
+# commands were dispatched from one table; bound-table also pins its CSV
+EXPERIMENTS = {
+    "alpha-bound": (
+        ["alpha-bound", "--w", "2", "--r", "10", "--grid", "10000"],
+        "0c2543258a963f42dd902312fdf502cb0ecf7c58a2ce4ecd045e5986d97bc4c0",
+    ),
+    "exact-t": (
+        ["exact-t", "--n", "6", "--w", "1", "--r", "1"],
+        "f61d89c7c7f23aaecdf34a962a8b098a4df0d19fac06750e39c70f3917634f7c",
+    ),
+    "family-count-thm2": (
+        ["family-count", "--n", "9", "--delta", "2"],
+        "1853af986b936e7dfbe53acb021db620e4c59ae6b85c6106c66ad7b1e4deeacc",
+    ),
+    "lemma7": (
+        ["lemma7", "--sets", "8", "--ground", "12", "--density", "0.5", "--w", "1",
+         "--r", "2", "--trials", "500", "--seed", "9"],
+        "da3fada1ce47327fd3da487b644d7e4172e9799a0cd51d9060c2fdd26244c498",
+    ),
+    "lemma8": (
+        ["lemma8", "--sets", "8", "--ground", "12", "--density", "0.5", "--w", "1",
+         "--r", "2", "--s", "2", "--trials", "500", "--seed", "9"],
+        "1510536eecd62adbf12834289ba1f1f9f29106b45cd0c74fe40aa224e750de6c",
+    ),
+    "duality": (
+        ["duality", "--n", "6", "--delta", "2", "--queries", "8", "--seed", "4"],
+        "3956a03e5085aeb1b638c722c6ef9db647f885dfcce55455277e05dd8551450e",
+    ),
+}
+BOUND_TABLE = (
+    ["bound-table", "--n-list", "100,200,400", "--delta-list", "4,8,16"],
+    "c526adfae13201fb6630887794f070926356b380dce79fb4a2d18516f44c4369",
+    "538550afff1e1033ba7f507842a94337ab582c00e3a553503c6ce0011d4348bd",
+)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_reports_match_golden_digests(name, tmp_path, capsys):
+    args, digest = EXPERIMENTS[name]
+    out = tmp_path / "report.json"
+    code = main(["experiment", *args, "--json", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+def test_bound_table_report_and_csv_match_golden_digests(tmp_path, capsys):
+    args, report_digest, csv_digest = BOUND_TABLE
+    out, csv = tmp_path / "report.json", tmp_path / "table.csv"
+    code = main(["experiment", *args, "--emit-csv", str(csv), "--json",
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == report_digest
+    assert _sha256(csv) == csv_digest
