@@ -228,6 +228,13 @@ def random_set_family(
     """n distinct uniform-density subsets of {0,..,t-1}; experiment fodder."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
+    if t < 0:
+        raise ValueError(f"need ground size t >= 0, got {t}")
+    # 1 << t only where it can be below n, so a huge t builds no huge integer
+    if n > 1 << min(t, n.bit_length()):
+        raise ValueError(
+            f"cannot draw {n} distinct sets: a ground set of {t} has 2^{t} subsets"
+        )
     rng = random.Random(derive_seed(seed))
 
     def draw() -> frozenset[int]:

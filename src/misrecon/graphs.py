@@ -42,7 +42,11 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        return cls(n, mask_from_members(list(members)))
+        members = list(members)
+        for v in members:
+            if not 0 <= v < n:
+                raise ValueError(f"member {v} outside universe of size {n}")
+        return cls(n, mask_from_members(members))
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -359,6 +363,16 @@ def enumerate_bounded_degree_graphs(
     sorted candidate edges, so the output order is reproducible. The last four
     results are memoised and shared, hence tuples; over the cap it raises.
     """
+    if delta >= 1:
+        # every matching is enumerated, and there are T(n) of them, the
+        # involutions of n points: over the cap, refuse before recursing
+        t_prev, t = 1, 1
+        for k in range(2, n + 1):
+            if t > cap:
+                break
+            t_prev, t = t, t + (k - 1) * t_prev
+        if t > cap:
+            raise CapExceededError(f"graph enumeration exceeds cap {cap}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[Graph] = []
 

@@ -38,6 +38,8 @@ class QueryScheme:
     queries: tuple[VertexSet, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"scheme universe size must be >= 0, got {self.n}")
         for q in self.queries:
             if q.n != self.n:
                 raise ValueError("query universe mismatch")
@@ -144,6 +146,8 @@ def cff_scheme(
     the family is verified whenever the exhaustive check fits the cap;
     verify=True forces verification and verify=False skips it.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     if delta < 1:
         raise ValueError("need delta >= 1")
     if builder is None:

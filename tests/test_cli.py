@@ -1,8 +1,11 @@
 """CLI dispatch, exit codes, file outputs, and reproducibility."""
 
 import json
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,12 @@ class TestExperimentDispatch:
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
             (["bound-table", "--n-list", "4,5", "--delta-list", "0,5"],
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
+            # a random family that cannot exist used to spin through 100 rounds
+            (["lemma7", "--sets", "5", "--ground", "2", "--w", "1", "--r", "1",
+              "--seed", "1"],
+             "cannot draw 5 distinct sets: a ground set of 2 has 2^2 subsets"),
+            (["lemma7", "--sets", "5", "--ground", "-2", "--w", "1", "--r", "1",
+              "--seed", "1"], "need ground size t >= 0, got -2"),
         ],
     )
     def test_negative_parameter_exits_two(self, args, message, capsys):
@@ -228,6 +237,59 @@ class TestExperimentDispatch:
         assert code == 2
         assert message in err
         assert "Traceback" not in err and not stdout
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4 1\n-1 2\n", "member -1 outside universe of size 4"),
+            ("4 1\n0 4\n", "member 4 outside universe of size 4"),
+            ("-3 0\n", "scheme universe size must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_scheme_file_exits_two(self, text, message, tmp_path, capsys):
+        scheme_path = tmp_path / "scheme.txt"
+        scheme_path.write_text(text)
+        code, stdout, err = run_cli(
+            ["experiment", "duality", "--delta", "1", "--scheme", str(scheme_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n" and not stdout
+
+    @pytest.mark.parametrize("n", ["30", "46"])
+    def test_enumeration_over_cap_is_refused_up_front(self, n, capsys):
+        # C(46, 2) candidate edges used to overflow the recursion limit, and
+        # n = 30 built 10^6 graphs before it gave up
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["experiment", "duality", "--n", n, "--delta", "1", "--queries", "3",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 3
+        assert err == "capacity exceeded: graph enumeration exceeds cap 1000000\n"
+        assert "Traceback" not in err and not stdout
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+    def test_each_experiment_names_its_missing_flags(self, name, capsys):
+        required, _ = cli._EXPERIMENTS[name]
+        argv = ["experiment", name]
+        if "seed" in required:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: experiment {name} requires --seed\n" in err
+            argv += ["--seed", "1"]
+        defaults = cli.build_parser().parse_args(argv)
+        missing = [f for f in required if getattr(defaults, f) is None]
+        if not missing:
+            return
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2 and not stdout
+        flags = ", ".join(f"--{f.replace('_', '-')}" for f in missing)
+        assert err == f"error: experiment {name} requires {flags}\n"
 
     def test_unexpected_exception_exits_four(self, monkeypatch, capsys):
         def broken(args):
@@ -300,3 +362,27 @@ class TestDeterminism:
         )
         assert result.returncode == 0, result.stderr
         assert "measured t = 2" in result.stdout
+
+
+def _readme_cli_lines():
+    """The `misrecon ...` commands of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(ln) for ln in joined.splitlines() if ln.startswith("misrecon ")]
+
+
+class TestReadmeExamples:
+    def test_parser_accepts_every_cli_example(self):
+        lines = _readme_cli_lines()
+        assert lines
+        for argv in lines:
+            args = cli.build_parser().parse_args(argv[1:])
+            if args.command == "experiment":
+                required, _ = cli._EXPERIMENTS[args.name]
+                missing = [f for f in required if getattr(args, f) is None]
+                assert not missing, (argv, missing)
+
+    def test_one_experiment_line_each_in_table_order(self):
+        names = [argv[2] for argv in _readme_cli_lines() if argv[1] == "experiment"]
+        assert names == list(cli._EXPERIMENTS)

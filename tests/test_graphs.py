@@ -240,6 +240,18 @@ class TestFamilyEnumeration:
             with pytest.raises(CapExceededError):
                 enumerate_bounded_degree_graphs(4, 1, cap=9)
 
+    def test_matchings_over_cap_refused_before_recursing(self):
+        # the T(n) = T(n-1) + (n-1) T(n-2) matchings are enumerated whenever
+        # delta >= 1, so T(n) > cap is refused up front
+        counts = [len(enumerate_bounded_degree_graphs(n, 1)) for n in range(8)]
+        assert counts == [1, 1, 2, 4, 10, 26, 76, 232]
+        assert len(enumerate_bounded_degree_graphs(7, 1, cap=232)) == 232
+        with pytest.raises(CapExceededError):
+            enumerate_bounded_degree_graphs(7, 3, cap=231)
+        # C(46, 2) candidate edges, one recursion level each
+        with pytest.raises(CapExceededError):
+            enumerate_bounded_degree_graphs(46, 1)
+
 
 class TestDescriptorValidation:
     def test_block_disjointness_enforced(self):

@@ -104,6 +104,15 @@ class TestCffScheme:
         scheme = cff_scheme(4, 1, builder=builder, seed=0, verify=False)
         assert len(scheme) == 4
 
+    def test_fewer_than_two_vertices_rejected_first(self):
+        # a builder that honours n = 1 used to reach math.comb(n - 2, ...)
+        def builder(n, w, r, seed):
+            return SetFamily(1, tuple(frozenset([v]) for v in range(n)))
+
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="need n >= 2"):
+                cff_scheme(n, 1, builder=builder, seed=0)
+
 
 class TestIsQueryScheme:
     def test_pair_scheme_distinguishes(self):
