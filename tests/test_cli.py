@@ -224,7 +224,7 @@ class TestExperimentDispatch:
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
             (["bound-table", "--n-list", "4,5", "--delta-list", "0,5"],
              "no (n, delta) pair satisfies 1 <= delta <= n - 1"),
-            # a random family that cannot exist used to spin through 100 rounds
+            # a random family that cannot exist is refused before any draw
             (["lemma7", "--sets", "5", "--ground", "2", "--w", "1", "--r", "1",
               "--seed", "1"],
              "cannot draw 5 distinct sets: a ground set of 2 has 2^2 subsets"),
@@ -258,8 +258,8 @@ class TestExperimentDispatch:
 
     @pytest.mark.parametrize("n", ["30", "46"])
     def test_enumeration_over_cap_is_refused_up_front(self, n, capsys):
-        # C(46, 2) candidate edges used to overflow the recursion limit, and
-        # n = 30 built 10^6 graphs before it gave up
+        # C(46, 2) candidate edges are more than the recursion limit, and
+        # n = 30 has 6e17 matchings: both are refused before any graph is built
         start = time.perf_counter()
         code, stdout, err = run_cli(
             ["experiment", "duality", "--n", n, "--delta", "1", "--queries", "3",

@@ -156,7 +156,7 @@ def _exit_code(kind, text):
 class TestArbitraryFiles:
     @settings(deadline=None, max_examples=200)
     @given(st.sampled_from(sorted(COMMANDS)), files)
-    # C(99, 2) candidate edges used to overflow the recursion limit
+    # C(99, 2) candidate edges, more than the recursion limit
     @example("scheme", "99 0\n")
     def test_never_an_internal_error(self, kind, text):
         assert _exit_code(kind, text) in (0, 1, 2, 3)
