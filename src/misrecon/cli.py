@@ -195,8 +195,7 @@ def _dq_stats(args) -> ExperimentReport:
         return random_queries(args.n, args.queries, p, seed)
 
     return lowerbounds.dq_statistics(
-        args.n, args.delta, scheme_gen, args.trials, args.seed,
-        threads=args.threads,
+        args.n, args.delta, scheme_gen, args.trials, args.seed
     )
 
 
@@ -206,7 +205,7 @@ def _on_set_family(experiment):
     def run(args) -> ExperimentReport:
         family = _load_or_random_family(args)
         params = CffParams(args.w, args.r, args.s)
-        return experiment(family, params, args.trials, args.seed, threads=args.threads)
+        return experiment(family, params, args.trials, args.seed)
 
     return run
 

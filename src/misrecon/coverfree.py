@@ -201,10 +201,10 @@ def random_cff(
 ) -> SetFamily:
     """Randomized cover-free family candidate.
 
-    Each ground element joins each set independently with probability
-    w/(w+r), the maximizer of the per-element violation-avoidance product.
-    Duplicate sets are resampled. Verification is the caller's job at small
-    scale; at large scale the construction stands as Monte-Carlo.
+    A random_set_family over cff_ground_size(n, w, r, c) elements with
+    density w/(w+r), the maximizer of the per-element violation-avoidance
+    product. Verification is the caller's job at small scale; at large scale
+    the construction stands as Monte-Carlo.
     """
     if w < 1 or r < 1:
         raise ValueError("need w, r >= 1")
@@ -213,13 +213,7 @@ def random_cff(
     if c <= 0:
         raise ValueError("oversampling constant must be positive")
     t = cff_ground_size(n, w, r, c)
-    rng = random.Random(derive_seed(seed))
-    p = w / (w + r)
-
-    def draw() -> frozenset[int]:
-        return frozenset(x for x in range(t) if rng.random() < p)
-
-    return SetFamily(t, tuple(_resample_distinct(draw, n, max_rounds)))
+    return random_set_family(n, t, w / (w + r), seed, max_rounds)
 
 
 def random_set_family(
@@ -314,7 +308,7 @@ def _surviving_elements(membership: list[int], a_mask: int, b_mask: int) -> list
 
 
 def survivor_count_experiment(
-    f: SetFamily, params: CffParams, trials: int, seed: int, threads: int = 1
+    f: SetFamily, params: CffParams, trials: int, seed: int
 ) -> ExperimentReport:
     """Sample the uniform (A_1..A_w, B_1..B_r) draw and measure |X|.
 
@@ -322,7 +316,6 @@ def survivor_count_experiment(
     B_j. The report compares the empirical mean against the exact per-family
     ceiling (n/(n-w))^r * sum_x a_x^w (1-a_x)^r and against the distribution-
     free ceiling (w/(w+r))^w * t.
-    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -334,12 +327,12 @@ def survivor_count_experiment(
         raise ValueError("need w + r <= n")
     membership = f.membership_masks()
 
-    def trial(trial_seed: int, _index: int) -> int:
+    def trial(trial_seed: int) -> int:
         rng = random.Random(trial_seed)
         a_mask, b_mask = _draw_trial(f, w, r, rng)
         return len(_surviving_elements(membership, a_mask, b_mask))
 
-    sizes = run_seeded_trials(trial, trials, seed, threads)
+    sizes = run_seeded_trials(trial, trials, seed)
     mean = sum(sizes) / trials
     var = sum((x - mean) ** 2 for x in sizes) / trials
     stderr = math.sqrt(var / trials)
@@ -372,7 +365,7 @@ def survivor_count_experiment(
 
 
 def cover_witness_search(
-    f: SetFamily, params: CffParams, trials: int, seed: int, threads: int = 1
+    f: SetFamily, params: CffParams, trials: int, seed: int
 ) -> ExperimentReport:
     """Search for explicit covers of an A-intersection by r + |X| other sets.
 
@@ -382,7 +375,6 @@ def cover_witness_search(
     relation intersection(A) <= union(B) + union(C) is verified by direct
     set inclusion. Each verified witness certifies the family is not
     (w, r+|X|)-cover-free via this route.
-    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -394,7 +386,7 @@ def cover_witness_search(
         raise ValueError("need w + r <= n")
     membership = f.membership_masks()
 
-    def trial(trial_seed: int, _index: int) -> tuple[bool, bool]:
+    def trial(trial_seed: int) -> tuple[bool, bool]:
         rng = random.Random(trial_seed)
         a_mask, b_mask = _draw_trial(f, w, r, rng)
         xs = _surviving_elements(membership, a_mask, b_mask)
@@ -413,7 +405,7 @@ def cover_witness_search(
             union |= f.sets[i]
         return True, inter <= union
 
-    outcomes = run_seeded_trials(trial, trials, seed, threads)
+    outcomes = run_seeded_trials(trial, trials, seed)
     found = sum(1 for got, _ in outcomes if got)
     verified = sum(1 for got, ok in outcomes if got and ok)
     checks = (

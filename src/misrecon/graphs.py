@@ -201,10 +201,9 @@ class AdversarialFamilyDesc:
     delta: int
     clique: VertexSet
     forced_block: VertexSet | None = None
-    per_clique_free_slots: int = 0
 
     def __post_init__(self):
-        u_size, w_size, slots = family_shape(self.delta, self.forced_block is not None)
+        u_size, w_size, _ = family_shape(self.delta, self.forced_block is not None)
         block = self._block()
         if self.clique.n != self.n or block.n != self.n:
             raise ValueError("clique or forced block universe mismatch")
@@ -212,8 +211,10 @@ class AdversarialFamilyDesc:
             raise ValueError("clique and forced block must be disjoint")
         if (len(self.clique), len(block)) != (u_size, w_size):
             raise ValueError("clique and forced block sizes do not fit delta")
-        if self.per_clique_free_slots != slots:
-            raise ValueError("per_clique_free_slots inconsistent with sizes")
+
+    @property
+    def per_clique_free_slots(self) -> int:
+        return family_shape(self.delta, self.forced_block is not None)[2]
 
     def _block(self) -> VertexSet:
         return VertexSet(self.n) if self.forced_block is None else self.forced_block
@@ -290,7 +291,7 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, 
     delta-(|U|-1)-|W| extra neighbours from the remaining vertices, and V\\U
     is independent.
     """
-    u_size, w_size, slots = family_shape(delta, blocked=True)
+    u_size, w_size, _ = family_shape(delta, blocked=True)
     _require_room(n, delta)
     rng = random.Random(seed)
     picked = rng.sample(range(n), u_size + w_size)
@@ -299,7 +300,6 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, 
         delta=delta,
         clique=VertexSet.from_members(n, picked[:u_size]),
         forced_block=VertexSet.from_members(n, picked[u_size:]),
-        per_clique_free_slots=slots,
     )
     return _family_member(desc, rng), desc
 
@@ -309,13 +309,12 @@ def clique_family_size(n: int, delta: int) -> int:
 
 
 def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
-    u_size, _, slots = family_shape(delta, blocked=False)
+    u_size, _, _ = family_shape(delta, blocked=False)
     _require_room(n, delta)
     return AdversarialFamilyDesc(
         n=n,
         delta=delta,
         clique=VertexSet(n, (1 << u_size) - 1),
-        per_clique_free_slots=slots,
     )
 
 
@@ -353,6 +352,21 @@ def enumerate_clique_family(
     yield from enumerate_family(clique_family_desc(n, delta), cap)
 
 
+def matching_count(n: int, limit: int) -> int:
+    """T(n), the number of matchings (involutions) of n labelled points, or
+    the first T(k) above limit when k < n, so a huge n costs no huge integer.
+
+    Every matching has max degree <= 1, so T(n) is a lower bound on the
+    number of graphs of max degree delta >= 1.
+    """
+    t_prev, t = 1, 1
+    for k in range(2, n + 1):
+        if t > limit:
+            break
+        t_prev, t = t, t + (k - 1) * t_prev
+    return t
+
+
 @functools.lru_cache(maxsize=4)
 def enumerate_bounded_degree_graphs(
     n: int, delta: int, cap: int = DEFAULT_ENUM_CAP
@@ -363,16 +377,10 @@ def enumerate_bounded_degree_graphs(
     sorted candidate edges, so the output order is reproducible. The last four
     results are memoised and shared, hence tuples; over the cap it raises.
     """
-    if delta >= 1:
-        # every matching is enumerated, and there are T(n) of them, the
-        # involutions of n points: over the cap, refuse before recursing
-        t_prev, t = 1, 1
-        for k in range(2, n + 1):
-            if t > cap:
-                break
-            t_prev, t = t, t + (k - 1) * t_prev
-        if t > cap:
-            raise CapExceededError(f"graph enumeration exceeds cap {cap}")
+    # every matching is enumerated when delta >= 1: over the cap, refuse
+    # before recursing
+    if delta >= 1 and matching_count(n, cap) > cap:
+        raise CapExceededError(f"graph enumeration exceeds cap {cap}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[Graph] = []
 

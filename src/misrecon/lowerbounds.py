@@ -107,7 +107,6 @@ def dq_statistics(
     scheme_gen: Callable[[int], QueryScheme],
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Sample (U, W, query) triples and measure the answer-count statistics.
 
@@ -117,7 +116,6 @@ def dq_statistics(
     empirical mean of ln D_Q (checked against the ceiling 4) and the
     empirical frequency of {u in Q, W disjoint from Q} per clique vertex
     (checked against the ceiling 3/delta).
-    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -125,7 +123,7 @@ def dq_statistics(
     if u_size + w_size > n:
         raise ValueError("n too small for the requested delta")
 
-    def trial(trial_seed: int, _index: int) -> tuple[list[float], list[int]]:
+    def trial(trial_seed: int) -> tuple[list[float], list[int]]:
         rng = random.Random(trial_seed)
         picked = rng.sample(range(n), u_size + w_size)
         u_set, w_set = picked[:u_size], picked[u_size:]
@@ -145,7 +143,7 @@ def dq_statistics(
                 hits.extend(1 if u in q else 0 for u in u_set)
         return logs, hits
 
-    results = run_seeded_trials(trial, trials, seed, threads)
+    results = run_seeded_trials(trial, trials, seed)
     logs = [x for lg, _ in results for x in lg]
     hits = [h for _, hs in results for h in hs]
     if not logs:
@@ -186,11 +184,11 @@ def dq_statistics(
     )
 
 
-def _chain_checks(values, power: int) -> tuple[BoundCheck, ...]:
-    """Checks display_i >= display_{i+1}, decided on the exact power-ed values.
+def _chain_checks(values) -> tuple[BoundCheck, ...]:
+    """Checks display_i >= display_{i+1}, decided on the exact values.
 
-    Entries are (name, display value, exact value raised to `power`); the
-    display values are only reporting output.
+    Entries are (name, display value, exact value); the display values are
+    only reporting output.
     """
     checks = []
     for (name_a, disp_a, val_a), (name_b, disp_b, val_b) in zip(values, values[1:]):
@@ -229,7 +227,7 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
         ("ratio_bound", float(ratio_bound), ratio_bound**power),
         ("final_bound", final_display, Fraction(n - delta, delta) ** (delta * delta)),
     ]
-    checks = _chain_checks(chain_pow, power)
+    checks = _chain_checks(chain_pow)
     return ExperimentReport(
         name="family-count-chain",
         parameters={
@@ -295,26 +293,11 @@ def bound_table(
     )
 
 
-BOUND_TABLE_COLUMNS = [
-    "n",
-    "delta",
-    "clamped",
-    "delta_effective",
-    "lb_rand_adaptive",
-    "lb_rand_nonadaptive",
-    "lb_det_nonadaptive",
-    "ub_rand_nonadaptive",
-    "ub_det_nonadaptive",
-]
-
-
 def bound_table_csv(report: ExperimentReport) -> str:
-    lines = [",".join(BOUND_TABLE_COLUMNS)]
-    for row in report.measured["rows"]:
-        lines.append(
-            ",".join(
-                f"{row[col]:.6f}" if isinstance(row[col], float) else str(row[col])
-                for col in BOUND_TABLE_COLUMNS
-            )
-        )
+    rows = report.measured["rows"]
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join(
+            f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values()
+        ))
     return "\n".join(lines) + "\n"

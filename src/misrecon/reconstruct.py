@@ -157,7 +157,6 @@ def success_rate(
     policy_gen: Callable[[int], object],
     trials: int,
     seed: int,
-    threads: int = 1,
     unknown_as_nonedge: bool = False,
 ) -> SuccessReport:
     """Fraction of trials whose decoded graph equals the hidden truth.
@@ -165,12 +164,11 @@ def success_rate(
     Each trial draws (graph, scheme, policy) from per-trial seeds derived
     from (seed, index); a trial succeeds only on an exact, complete match
     (or exact match after forcing unknowns to non-edges when requested).
-    `threads` is accepted for compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
 
-    def trial(trial_seed: int, _index: int) -> bool:
+    def trial(trial_seed: int) -> bool:
         g = graph_gen(derive_seed(trial_seed, 0))
         scheme = scheme_gen(derive_seed(trial_seed, 1))
         policy = policy_gen(derive_seed(trial_seed, 2))
@@ -180,7 +178,7 @@ def success_rate(
             return False
         return result.as_graph(unknown_as_nonedge=True) == g
 
-    outcomes = run_seeded_trials(trial, trials, seed, threads)
+    outcomes = run_seeded_trials(trial, trials, seed)
     successes = sum(outcomes)
     rate = successes / trials
     stderr = math.sqrt(rate * (1.0 - rate) / trials)

@@ -19,7 +19,12 @@ import numpy as np
 
 from . import coverfree
 from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff
-from .graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
+from .graphs import (
+    Graph,
+    VertexSet,
+    enumerate_bounded_degree_graphs,
+    matching_count,
+)
 from .oracle import is_mis  # noqa: F401  schemes.is_mis is a binding perfbench wraps
 from .util import CapExceededError, derive_seed, iter_bits
 
@@ -220,6 +225,12 @@ def is_query_scheme(
     scheme (12 queries, p=0.5, seed 1) takes 1.1 s, and the passing scheme
     of all 21 pair queries, whose pair loop runs to the end, 47 s.
     """
+    if delta >= 1:
+        # the T(n) matchings alone make this many pairs: refuse before enumerating
+        t = matching_count(scheme.n, cap)
+        pairs = t * (t - 1) // 2
+        if pairs > cap:
+            raise CapExceededError(f"at least {pairs} graph pairs exceed cap {cap}")
     graphs = enumerate_bounded_degree_graphs(scheme.n, delta)
     n_graphs = len(graphs)
     if n_graphs * (n_graphs - 1) // 2 > cap:
@@ -286,6 +297,8 @@ def duality_check(
     check_cap: int = coverfree.DEFAULT_CHECK_CAP,
 ) -> DualityReport:
     """Cross-check the scheme property against cover-freeness of the dual."""
+    if scheme.n < 2:
+        raise ValueError(f"need a scheme over n >= 2 vertices, got n = {scheme.n}")
     if delta < 1:
         raise ValueError("need delta >= 1")
     scheme_result = is_query_scheme(scheme, delta, cap=pair_cap)

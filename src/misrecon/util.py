@@ -35,18 +35,11 @@ def derive_seed(base: int, *path: int) -> int:
     return x
 
 
-def run_seeded_trials(
-    trial: Callable[[int, int], T], trials: int, seed: int, threads: int = 1
-) -> list[T]:
-    """Run trial(derive_seed(seed, index), index) for index in range(trials).
-
-    The trials run in index order in the calling thread. `threads` is
-    accepted for compatibility and ignored: the trials are pure Python, and
-    a thread pool measured no faster under the GIL.
-    """
+def run_seeded_trials(trial: Callable[[int], T], trials: int, seed: int) -> list[T]:
+    """[trial(derive_seed(seed, index)) for index in range(trials)], in order."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    return [trial(derive_seed(seed, i), i) for i in range(trials)]
+    return [trial(derive_seed(seed, i)) for i in range(trials)]
 
 
 def shuffle(rng: random.Random, x: MutableSequence) -> None:

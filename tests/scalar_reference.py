@@ -267,7 +267,6 @@ def sample_clique_family(n: int, delta: int, seed: int):
         n=n,
         delta=delta,
         clique=VertexSet.from_members(n, range(u_size)),
-        per_clique_free_slots=slots,
     )
     return Graph(n, edges), desc
 
@@ -296,7 +295,6 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int):
         delta=delta,
         clique=VertexSet.from_members(n, clique),
         forced_block=VertexSet.from_members(n, block),
-        per_clique_free_slots=slots,
     )
     return Graph(n, edges), desc
 
@@ -388,7 +386,7 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
         ("ratio_bound", float(ratio_bound), ratio_bound**power),
         ("final_bound", final_display, Fraction(n - delta, delta) ** (delta * delta)),
     ]
-    checks = _chain_checks(chain_pow, power)
+    checks = _chain_checks(chain_pow)
     return ExperimentReport(
         name="family-count-chain",
         parameters={

@@ -230,6 +230,9 @@ class TestExperimentDispatch:
              "cannot draw 5 distinct sets: a ground set of 2 has 2^2 subsets"),
             (["lemma7", "--sets", "5", "--ground", "-2", "--w", "1", "--r", "1",
               "--seed", "1"], "need ground size t >= 0, got -2"),
+            # named after the scheme, not the dual family built from it
+            (["duality", "--n", "0", "--delta", "1", "--queries", "1",
+              "--seed", "1"], "need a scheme over n >= 2 vertices, got n = 0"),
         ],
     )
     def test_negative_parameter_exits_two(self, args, message, capsys):
@@ -256,10 +259,11 @@ class TestExperimentDispatch:
         assert code == 2
         assert err == f"error: {message}\n" and not stdout
 
-    @pytest.mark.parametrize("n", ["30", "46"])
+    @pytest.mark.parametrize("n", ["12", "30", "46"])
     def test_enumeration_over_cap_is_refused_up_front(self, n, capsys):
-        # C(46, 2) candidate edges are more than the recursion limit, and
-        # n = 30 has 6e17 matchings: both are refused before any graph is built
+        # n = 12 has 140,152 matchings, so about 9.8e9 graph pairs; C(46, 2)
+        # candidate edges are more than the recursion limit, and n = 30 has
+        # 6e17 matchings: all are refused before any graph is built
         start = time.perf_counter()
         code, stdout, err = run_cli(
             ["experiment", "duality", "--n", n, "--delta", "1", "--queries", "3",
@@ -267,7 +271,11 @@ class TestExperimentDispatch:
             capsys,
         )
         assert code == 3
-        assert err == "capacity exceeded: graph enumeration exceeds cap 1000000\n"
+        assert err.startswith("capacity exceeded: at least ")
+        assert err.endswith(" graph pairs exceed cap 5000000\n")
+        if n == "12":
+            # with delta = 1 the graphs are exactly the T(12) matchings
+            assert "at least 9821221476 graph pairs" in err
         assert "Traceback" not in err and not stdout
         assert time.perf_counter() - start < 1.0
 
@@ -338,13 +346,25 @@ class TestExperimentDispatch:
 
 
 class TestDeterminism:
-    def test_report_bytes_stable_across_threads(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["profile-count", "--n", "9", "--delta", "2", "--queries", "3"],
+            ["dq-stats", "--n", "40", "--delta", "5", "--trials", "200"],
+            ["lemma7", "--w", "2", "--r", "1", "--sets", "6", "--ground", "8",
+             "--trials", "200"],
+            ["lemma8", "--w", "1", "--r", "1", "--s", "2", "--sets", "6",
+             "--ground", "6", "--trials", "200"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_report_bytes_stable_across_threads(self, args, tmp_path, capsys):
+        # --threads is accepted for every seeded experiment and changes no byte
         outputs = []
         for threads in ("1", "8", "1"):
             out = tmp_path / f"r{len(outputs)}.txt"
             code, _, _ = run_cli(
-                ["experiment", "dq-stats", "--n", "40", "--delta", "5",
-                 "--trials", "200", "--seed", "6", "--threads", threads,
+                ["experiment", *args, "--seed", "6", "--threads", threads,
                  "--out", str(out)],
                 capsys,
             )

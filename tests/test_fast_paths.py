@@ -598,8 +598,7 @@ class TestHiddenCliqueFamilies:
     def test_blocked_enumeration_equals_reference_in_order(self, case):
         n, delta, clique, block = case
         desc = lib_graphs.AdversarialFamilyDesc(
-            n=n, delta=delta, clique=clique, forced_block=block,
-            per_clique_free_slots=delta - (len(clique) - 1) - len(block),
+            n=n, delta=delta, clique=clique, forced_block=block
         )
         fast = outcome(lib_graphs.enumerate_family, desc)
         assert fast == outcome(ref.enumerate_blocked_clique_family, n, delta, clique, block)

@@ -201,9 +201,8 @@ class TestFamilyEnumeration:
     def test_forced_block_enumeration_count(self):
         u = VertexSet.from_members(12, [0])
         w = VertexSet.from_members(12, [1])
-        desc = AdversarialFamilyDesc(
-            n=12, delta=3, clique=u, forced_block=w, per_clique_free_slots=2
-        )
+        desc = AdversarialFamilyDesc(n=12, delta=3, clique=u, forced_block=w)
+        assert desc.per_clique_free_slots == 2
         members = list(enumerate_family(desc))
         assert len(members) == len(set(members)) == math.comb(10, 2) == 45
 
@@ -261,14 +260,6 @@ class TestDescriptorValidation:
                 delta=3,
                 clique=VertexSet.from_members(9, [0]),
                 forced_block=VertexSet.from_members(9, [0]),
-                per_clique_free_slots=2,
-            )
-
-    def test_slot_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            AdversarialFamilyDesc(
-                n=9, delta=2, clique=VertexSet.from_members(9, [0]),
-                per_clique_free_slots=1,
             )
 
 

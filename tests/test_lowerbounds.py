@@ -66,9 +66,7 @@ class TestProfileCount:
         w = VertexSet.from_members(12, [1])
         from misrecon.graphs import AdversarialFamilyDesc
 
-        desc = AdversarialFamilyDesc(
-            n=12, delta=3, clique=u, forced_block=w, per_clique_free_slots=2
-        )
+        desc = AdversarialFamilyDesc(n=12, delta=3, clique=u, forced_block=w)
         family = list(enumerate_family(desc))
         scheme = random_queries(12, 3, 0.5, seed=seed)
         report = profile_count(scheme, family, desc)
@@ -131,12 +129,6 @@ class TestDqStatistics:
     def test_small_delta_rejected(self):
         with pytest.raises(ValueError):
             dq_statistics(10, 2, lambda s: QueryScheme(10, ()), 10, seed=0)
-
-    def test_threads_deterministic(self):
-        gen = lambda s: random_queries(40, 2, 0.2, s)
-        a = dq_statistics(40, 5, gen, 100, seed=4, threads=1)
-        b = dq_statistics(40, 5, gen, 100, seed=4, threads=8)
-        assert a == b
 
 
 class TestFamilyCountCheck:

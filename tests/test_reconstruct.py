@@ -186,16 +186,6 @@ class TestSuccessRate:
         assert report.successes == empties
         assert report.rate < 1.0
 
-    def test_threads_do_not_change_results(self):
-        kwargs = dict(
-            graph_gen=lambda s: gen_bounded_degree(7, 2, 0.7, seed=s),
-            scheme_gen=lambda s: random_queries(7, 10, 0.4, s),
-            policy_gen=lambda s: GreedyLexPolicy(),
-            trials=16,
-            seed=43,
-        )
-        assert success_rate(**kwargs) == success_rate(threads=8, **kwargs)
-
     def test_mixed_policies_with_pair_scheme(self):
         report = success_rate(
             graph_gen=lambda s: gen_bounded_degree(7, 2, 0.8, seed=s),
