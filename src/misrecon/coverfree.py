@@ -21,11 +21,13 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
+from .graphs import VertexSet
 from .reports import BoundCheck, ExperimentReport
-from .util import CapExceededError, derive_seed, iter_bits, mask_from_members, run_seeded_trials
+from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits, run_seeded_trials
 
 DEFAULT_CHECK_CAP = int(os.environ.get("MISRECON_CHECK_CAP", 5 * 10**6))
 DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
@@ -37,7 +39,7 @@ class CffConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SetFamily:
-    """An ordered family of subsets of {0,..,ground_size-1}.
+    """An ordered family of subsets of {0,..,ground_size-1}, one bitmask per set.
 
     Entries are indexed; duplicates are representable (duals keep them), but
     the cover-free checker treats any duplicate pair as an immediate
@@ -45,48 +47,68 @@ class SetFamily:
     """
 
     ground_size: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        for s in self.sets:
-            for x in s:
-                if not 0 <= x < self.ground_size:
-                    raise ValueError(f"element {x} outside ground set")
+        if self.ground_size < 0:
+            raise ValueError(f"ground size must be >= 0, got {self.ground_size}")
+        for m in self.masks:
+            if m < 0 or m >> self.ground_size:
+                raise ValueError(f"set mask {m} outside ground set")
+
+    @classmethod
+    def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        """The family of the given member lists, each checked against the ground set."""
+        masks = tuple(VertexSet.from_members(ground_size, s).mask for s in sets)
+        return cls(ground_size, masks)
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The sets as frozensets, built from the masks on each access."""
+        return tuple(frozenset(iter_bits(m)) for m in self.masks)
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def has_duplicates(self) -> bool:
-        return len(set(self.sets)) != len(self.sets)
+        return len(set(self.masks)) != len(self.masks)
 
     def membership_masks(self) -> list[int]:
         """For each ground element x, the bitmask of set indices containing x."""
         masks = [0] * self.ground_size
-        for i, s in enumerate(self.sets):
-            for x in s:
+        for i, m in enumerate(self.masks):
+            for x in iter_bits(m):
                 masks[x] |= 1 << i
         return masks
 
     def to_text(self) -> str:
         lines = [f"{self.ground_size} {self.n}"]
-        lines.extend(" ".join(map(str, sorted(s))) for s in self.sets)
+        lines.extend(" ".join(map(str, iter_bits(m))) for m in self.masks)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SetFamily":
-        lines = text.splitlines()
-        if not lines or not lines[0].strip():
-            raise ValueError("empty set-family file")
-        try:
-            t, n = map(int, lines[0].split())
-        except ValueError as exc:
-            raise ValueError(f"bad set-family header: {lines[0]!r}") from exc
-        body = lines[1 : n + 1]
-        if len(body) != n:
-            raise ValueError(f"expected {n} set lines, found {len(body)}")
-        sets = tuple(frozenset(map(int, ln.split())) for ln in body)
-        return cls(t, sets)
+        return cls.from_sets(*read_rows(text))
+
+
+def read_rows(text: str) -> tuple[int, list[list[int]]]:
+    """Parse the set-family and scheme format: `size count`, then count member
+    lines, then only blank lines. ValueError on any defect."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ValueError("empty file")
+    try:
+        size, count = map(int, lines[0].split())
+    except ValueError as exc:
+        raise ValueError(f"bad header: {lines[0]!r}") from exc
+    body = lines[1 : count + 1]
+    if len(body) != count:
+        raise ValueError(f"expected {count} member lines, found {len(body)}")
+    extra = [ln for ln in lines[count + 1 :] if ln.strip()]
+    if extra:
+        raise ValueError(f"expected {count} member lines, found extra line {extra[0]!r}")
+    return size, [list(map(int, ln.split())) for ln in body]
 
 
 @dataclass(frozen=True)
@@ -120,8 +142,7 @@ def dual(f: SetFamily) -> SetFamily:
     Equal entries are kept as distinct indexed sets; the incidence matrix is
     simply transposed, so dual is an involution on incidence.
     """
-    sets = tuple(frozenset(iter_bits(m)) for m in f.membership_masks())
-    return SetFamily(ground_size=f.n, sets=sets)
+    return SetFamily(f.n, tuple(f.membership_masks()))
 
 
 def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
@@ -143,7 +164,7 @@ def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
     work = math.comb(n, w) * math.comb(n - w, r_eff)
     if work > cap:
         raise CapExceededError(f"check size {work} exceeds cap {cap}")
-    cover = _first_cover(tuple(map(mask_from_members, f.sets)), w, r_eff)
+    cover = _first_cover(f.masks, w, r_eff)
     if cover is None:
         return True
     a_idx, b_idx, inter = cover
@@ -174,26 +195,6 @@ def _first_cover(masks: tuple[int, ...], w: int, r: int):
 def cff_ground_size(n: int, w: int, r: int, c: float) -> int:
     """Oversampled ground size c * (w+r)^(w+r+1) / (w^w r^r) * ln n."""
     return math.ceil(c * (w + r) ** (w + r + 1) / (w**w * r**r) * math.log(n))
-
-
-def _resample_distinct(draw, n: int, max_rounds: int) -> list[frozenset[int]]:
-    """Draw n sets, redrawing duplicates (keeping first occurrences) per round."""
-    sets = [draw() for _ in range(n)]
-    for _ in range(max_rounds):
-        seen: set[frozenset[int]] = set()
-        dup = []
-        for i, s in enumerate(sets):
-            if s in seen:
-                dup.append(i)
-            else:
-                seen.add(s)
-        if not dup:
-            return sets
-        for i in dup:
-            sets[i] = draw()
-    raise CffConstructionError(
-        f"could not draw {n} distinct sets within {max_rounds} rounds"
-    )
 
 
 def random_cff(
@@ -230,11 +231,23 @@ def random_set_family(
             f"cannot draw {n} distinct sets: a ground set of {t} has 2^{t} subsets"
         )
     rng = random.Random(derive_seed(seed))
-
-    def draw() -> frozenset[int]:
-        return frozenset(x for x in range(t) if rng.random() < density)
-
-    return SetFamily(t, tuple(_resample_distinct(draw, n, max_rounds)))
+    masks = bernoulli_rows(rng, n, t, density)
+    for _ in range(max_rounds):
+        seen: set[int] = set()
+        dup = []
+        for i, m in enumerate(masks):
+            if m in seen:
+                dup.append(i)
+            else:
+                seen.add(m)
+        if not dup:
+            return SetFamily(t, tuple(masks))
+        # every copy after the first is redrawn, in index order
+        for i, m in zip(dup, bernoulli_rows(rng, len(dup), t, density)):
+            masks[i] = m
+    raise CffConstructionError(
+        f"could not draw {n} distinct sets within {max_rounds} rounds"
+    )
 
 
 def exact_t(
@@ -394,16 +407,15 @@ def cover_witness_search(
             return False, False
         if any(m == a_mask for m in membership):
             return False, False
-        c_indices = set()
-        for x in xs:
-            c_indices.add(next(iter_bits(membership[x] & ~a_mask)))
-        inter = frozenset.intersection(
-            *(f.sets[i] for i in iter_bits(a_mask))
-        )
-        union: frozenset[int] = frozenset()
-        for i in itertools.chain(iter_bits(b_mask), sorted(c_indices)):
-            union |= f.sets[i]
-        return True, inter <= union
+        inter = -1
+        for i in iter_bits(a_mask):
+            inter &= f.masks[i]
+        union = 0
+        for i in iter_bits(b_mask):
+            union |= f.masks[i]
+        for x in xs:  # C_x, the lowest-index bearer of x outside A
+            union |= f.masks[next(iter_bits(membership[x] & ~a_mask))]
+        return True, not inter & ~union
 
     outcomes = run_seeded_trials(trial, trials, seed)
     found = sum(1 for got, _ in outcomes if got)

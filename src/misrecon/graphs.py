@@ -95,27 +95,21 @@ class VertexSet:
 class Graph:
     """Immutable simple graph; vertices are 0..n-1, no self-loops."""
 
-    __slots__ = ("n", "_adj", "_edges", "delta")
+    __slots__ = ("n", "_adj", "delta")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("n must be >= 0")
         adj = [0] * n
-        canonical = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
-            if u > v:
-                u, v = v, u
-            canonical.add((u, v))
-        for u, v in canonical:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(canonical))
         self.delta = max((a.bit_count() for a in adj), default=0)
 
     @classmethod
@@ -128,17 +122,19 @@ class Graph:
 
     @classmethod
     def from_adjacency_masks(cls, masks: tuple[int, ...]) -> "Graph":
-        n = len(masks)
-        edges = [(u, v) for u in range(n) for v in iter_bits(masks[u]) if v > u]
-        return cls(n, edges)
+        edges = [(u, v) for u, m in enumerate(masks) for v in iter_bits(m) if v > u]
+        return cls(len(masks), edges)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Each edge once as (u, v) with u < v, in ascending order."""
+        return tuple(
+            (u, v) for u, a in enumerate(self._adj) for v in iter_bits(a) if v > u
+        )
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(a.bit_count() for a in self._adj) // 2
 
     def adjacency_mask(self, v: int) -> int:
         return self._adj[v]
@@ -162,7 +158,7 @@ class Graph:
         return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)}, delta={self.delta})"
+        return f"Graph(n={self.n}, m={self.num_edges}, delta={self.delta})"
 
 
 def family_shape(delta: int, blocked: bool) -> tuple[int, int, int]:

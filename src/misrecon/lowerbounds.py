@@ -23,7 +23,7 @@ from .graphs import AdversarialFamilyDesc, Graph, family_shape
 from .oracle import AdversarialCliquePolicy, run_scheme
 from .reports import BoundCheck, ExperimentReport
 from .schemes import QueryScheme
-from .util import derive_seed, run_seeded_trials
+from .util import derive_seed, mask_from_members, run_seeded_trials
 
 
 def _transcript_profiles(
@@ -123,36 +123,34 @@ def dq_statistics(
     if u_size + w_size > n:
         raise ValueError("n too small for the requested delta")
 
-    def trial(trial_seed: int) -> tuple[list[float], list[int]]:
+    def trial(trial_seed: int) -> tuple[list[float], int]:
         rng = random.Random(trial_seed)
         picked = rng.sample(range(n), u_size + w_size)
-        u_set, w_set = picked[:u_size], picked[u_size:]
-        w_mask = 0
-        for v in w_set:
-            w_mask |= 1 << v
+        u_mask = mask_from_members(picked[:u_size])
+        w_mask = mask_from_members(picked[u_size:])
         scheme = scheme_gen(derive_seed(trial_seed, 1))
         logs: list[float] = []
-        hits: list[int] = []
+        hits = 0
         for q in scheme.queries:
             if q.mask & w_mask:
                 logs.append(0.0)
-                hits.extend(0 for _ in u_set)
             else:
-                in_u = sum(1 for u in u_set if u in q)
+                in_u = (q.mask & u_mask).bit_count()
                 logs.append(math.log(in_u + 1))
-                hits.extend(1 if u in q else 0 for u in u_set)
+                hits += in_u
         return logs, hits
 
     results = run_seeded_trials(trial, trials, seed)
     logs = [x for lg, _ in results for x in lg]
-    hits = [h for _, hs in results for h in hs]
     if not logs:
         raise ValueError("scheme generator produced no queries")
+    hits = sum(h for _, h in results)
+    samples_hit = len(logs) * u_size
     mean_log = sum(logs) / len(logs)
     var_log = sum((x - mean_log) ** 2 for x in logs) / len(logs)
     se_log = math.sqrt(var_log / len(logs))
-    p_hat = sum(hits) / len(hits)
-    se_p = math.sqrt(p_hat * (1.0 - p_hat) / len(hits))
+    p_hat = hits / samples_hit
+    se_p = math.sqrt(p_hat * (1.0 - p_hat) / samples_hit)
     log_bound = 4.0
     p_bound = 3.0 / delta
     checks = (
@@ -173,7 +171,7 @@ def dq_statistics(
         },
         measured={
             "samples_log": len(logs),
-            "samples_hit": len(hits),
+            "samples_hit": samples_hit,
             "mean_log_answers": mean_log,
             "stderr_log_answers": se_log,
             "clique_hit_rate": p_hat,

@@ -15,10 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import coverfree
-from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff
+from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff, read_rows
 from .graphs import (
     Graph,
     VertexSet,
@@ -26,7 +24,7 @@ from .graphs import (
     matching_count,
 )
 from .oracle import is_mis  # noqa: F401  schemes.is_mis is a binding perfbench wraps
-from .util import CapExceededError, derive_seed, iter_bits
+from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits
 
 DEFAULT_PAIR_CAP = int(os.environ.get("MISRECON_PAIR_CAP", 5 * 10**6))
 
@@ -54,53 +52,19 @@ class QueryScheme:
 
     def as_set_family(self) -> SetFamily:
         """The queries as a family of sets over ground {0,..,n-1}."""
-        return SetFamily(
-            ground_size=self.n,
-            sets=tuple(frozenset(q.members()) for q in self.queries),
-        )
+        return SetFamily(self.n, tuple(q.mask for q in self.queries))
 
     def dual_family(self) -> SetFamily:
         """One set per vertex v: the indices of queries containing v."""
         return coverfree.dual(self.as_set_family())
 
     def to_text(self) -> str:
-        lines = [f"{self.n} {len(self.queries)}"]
-        lines.extend(" ".join(map(str, q.members())) for q in self.queries)
-        return "\n".join(lines) + "\n"
+        return self.as_set_family().to_text()
 
     @classmethod
     def from_text(cls, text: str) -> "QueryScheme":
-        lines = text.splitlines()
-        if not lines or not lines[0].strip():
-            raise ValueError("empty scheme file")
-        try:
-            n, t = map(int, lines[0].split())
-        except ValueError as exc:
-            raise ValueError(f"bad scheme header: {lines[0]!r}") from exc
-        body = lines[1 : t + 1]
-        if len(body) != t:
-            raise ValueError(f"expected {t} query lines, found {len(body)}")
-        queries = tuple(
-            VertexSet.from_members(n, map(int, ln.split())) for ln in body
-        )
-        return cls(n, queries)
-
-
-# query rows drawn per block, which bounds the temporaries of random_queries
-_DRAW_ROWS = 16
-
-
-def _random_keys(rng: random.Random, m: int) -> np.ndarray:
-    """The 53-bit integers k with k * 2**-53 equal to the next m rng.random().
-
-    CPython's random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53 for two
-    consecutive Mersenne Twister outputs w0, w1, and getrandbits(64 * m)
-    holds the next 2 * m outputs, the first one least significant. So one
-    call draws m values and leaves rng where m calls of random() would.
-    numpy.random is not used: importing it adds about 6 MB to the process.
-    """
-    pairs = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
-    return (pairs & 0xFFFFFFFF) >> 5 << 26 | pairs >> 38
+        n, rows = read_rows(text)
+        return cls(n, tuple(VertexSet.from_members(n, r) for r in rows))
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -110,17 +74,7 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     rng = random.Random(derive_seed(seed))
-    # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
-    threshold = math.ceil(p * 2**53)
-    queries = []
-    for start in range(0, t, _DRAW_ROWS):
-        rows = min(_DRAW_ROWS, t - start)
-        draws = _random_keys(rng, rows * n).reshape(rows, n) < threshold
-        packed = np.packbits(draws, axis=1, bitorder="little")
-        queries.extend(
-            VertexSet(n, int.from_bytes(row.tobytes(), "little")) for row in packed
-        )
-    return QueryScheme(n, tuple(queries))
+    return QueryScheme(n, tuple(VertexSet(n, m) for m in bernoulli_rows(rng, t, n, p)))
 
 
 def randomized_scheme(n: int, delta: int, c: float, p: float, seed: int) -> QueryScheme:

@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic seed derivation, seeded shuffles, capacity
-errors, trial loops.
+"""Shared plumbing: deterministic seed derivation, seeded shuffles and
+Bernoulli rows, capacity errors, trial loops.
 
 Every randomized operation in this package takes an explicit integer seed and
 derives per-trial / per-query seeds through a fixed 64-bit mixer, so results
@@ -8,8 +8,11 @@ are reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, MutableSequence, Sequence, TypeVar
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -58,6 +61,38 @@ def shuffle(rng: random.Random, x: MutableSequence) -> None:
         while j >= m:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
+
+
+# rows drawn per block, which bounds the temporaries of bernoulli_rows
+_DRAW_ROWS = 16
+
+
+def _random_keys(rng: random.Random, m: int) -> np.ndarray:
+    """The 53-bit integers k with k * 2**-53 equal to the next m rng.random().
+
+    CPython's random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53 for two
+    consecutive Mersenne Twister outputs w0, w1, and getrandbits(64 * m)
+    holds the next 2 * m outputs, the first one least significant. So one
+    call draws m values and leaves rng where m calls of random() would.
+    numpy.random is not used: importing it adds about 6 MB to the process.
+    """
+    pairs = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+    return (pairs & 0xFFFFFFFF) >> 5 << 26 | pairs >> 38
+
+
+def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[int]:
+    """rows masks of width bits; bit j of row i is set when the (i*width + j)-th
+    next rng.random() is below p. For 0 <= p <= 1 the masks, and rng's state
+    afterwards, are exactly those of making that many random() calls."""
+    # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
+    threshold = math.ceil(p * 2**53)
+    masks = []
+    for start in range(0, rows, _DRAW_ROWS):
+        block = min(_DRAW_ROWS, rows - start)
+        draws = _random_keys(rng, block * width).reshape(block, width) < threshold
+        packed = np.packbits(draws, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return masks
 
 
 def mask_from_members(members: Sequence[int]) -> int:

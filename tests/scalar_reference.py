@@ -1,7 +1,8 @@
 """Reference versions of the batched and pruned library paths.
 
 These are the straightforward loops the library used before its hot paths
-were batched and its exhaustive checkers pruned: per-bit scheme draws,
+were batched and its exhaustive checkers pruned: per-bit scheme and
+set-family draws,
 the graph generator and oracle answers on the stdlib Random.shuffle,
 decoding, one policy call and one MIS check per query,
 the 2^|Q| subset scan for maximal independent sets, the frozenset
@@ -17,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from misrecon.coverfree import CoverViolation, SetFamily
+from misrecon.coverfree import CffConstructionError, CoverViolation, SetFamily
 from misrecon.graphs import (
     DEFAULT_ENUM_CAP,
     AdversarialFamilyDesc,
@@ -43,6 +44,34 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
                 mask |= 1 << v
         queries.append(VertexSet(n, mask))
     return QueryScheme(n, tuple(queries))
+
+
+def random_set_family(
+    n: int, t: int, density: float, seed: int = 0, max_rounds: int = 100
+) -> SetFamily:
+    """One rng.random() < density draw per (set, element); each round redraws
+    the later copies of equal sets, in index order, until all are distinct."""
+    rng = random.Random(derive_seed(seed))
+
+    def draw() -> frozenset[int]:
+        return frozenset(x for x in range(t) if rng.random() < density)
+
+    sets = [draw() for _ in range(n)]
+    for _ in range(max_rounds):
+        seen = set()
+        dup = []
+        for i, s in enumerate(sets):
+            if s in seen:
+                dup.append(i)
+            else:
+                seen.add(s)
+        if not dup:
+            return SetFamily.from_sets(t, sets)
+        for i in dup:
+            sets[i] = draw()
+    raise CffConstructionError(
+        f"could not draw {n} distinct sets within {max_rounds} rounds"
+    )
 
 
 def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
@@ -235,7 +264,7 @@ def dual(f: SetFamily) -> SetFamily:
         frozenset(i for i, s in enumerate(f.sets) if x in s)
         for x in range(f.ground_size)
     )
-    return SetFamily(ground_size=f.n, sets=sets)
+    return SetFamily.from_sets(f.n, sets)
 
 
 def cff_queries(n: int, family: SetFamily) -> tuple[VertexSet, ...]:

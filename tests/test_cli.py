@@ -247,6 +247,9 @@ class TestExperimentDispatch:
             ("4 1\n-1 2\n", "member -1 outside universe of size 4"),
             ("4 1\n0 4\n", "member 4 outside universe of size 4"),
             ("-3 0\n", "scheme universe size must be >= 0, got -3"),
+            # a line past the counted ones used to be dropped without a word
+            ("3 1\n0 1\n2\n", "expected 1 member lines, found extra line '2'"),
+            ("3 2\n0 1\n", "expected 2 member lines, found 1"),
         ],
     )
     def test_bad_scheme_file_exits_two(self, text, message, tmp_path, capsys):
@@ -254,6 +257,25 @@ class TestExperimentDispatch:
         scheme_path.write_text(text)
         code, stdout, err = run_cli(
             ["experiment", "duality", "--delta", "1", "--scheme", str(scheme_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n" and not stdout
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 1\n1\n2\n", "expected 2 member lines, found extra line '2'"),
+            ("-1 0\n", "ground size must be >= 0, got -1"),
+            ("3 1 4\n0\n", "bad header: '3 1 4'"),
+        ],
+    )
+    def test_bad_family_file_exits_two(self, text, message, tmp_path, capsys):
+        family_path = tmp_path / "family.txt"
+        family_path.write_text(text)
+        code, stdout, err = run_cli(
+            ["experiment", "lemma7", "--family", str(family_path), "--w", "1",
+             "--r", "1", "--seed", "1"],
             capsys,
         )
         assert code == 2

@@ -31,7 +31,7 @@ from misrecon.util import CapExceededError
 
 
 def fam(t, *sets):
-    return SetFamily(t, tuple(frozenset(s) for s in sets))
+    return SetFamily.from_sets(t, sets)
 
 
 class TestSetFamily:
@@ -54,6 +54,28 @@ class TestSetFamily:
             SetFamily.from_text("")
         with pytest.raises(ValueError):
             SetFamily.from_text("3 2\n0 1\n")
+        # a line past the counted ones is refused; trailing blank lines are not
+        with pytest.raises(ValueError, match="found extra line '2'"):
+            SetFamily.from_text("3 1\n0 1\n2\n")
+        assert SetFamily.from_text("3 1\n0 1\n\n \n") == fam(3, [0, 1])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: SetFamily.from_text("-1 0\n"), lambda: SetFamily(-1, ())],
+    )
+    def test_negative_ground_size_rejected(self, build):
+        with pytest.raises(ValueError, match="ground size must be >= 0, got -1"):
+            build()
+
+    @pytest.mark.parametrize("mask", [0b100, -1])
+    def test_mask_outside_ground_rejected(self, mask):
+        with pytest.raises(ValueError, match="outside ground set"):
+            SetFamily(2, (0b01, mask))
+
+    def test_sets_view(self):
+        f = SetFamily(4, (0b1010, 0))
+        assert f.sets == (frozenset({1, 3}), frozenset())
+        assert SetFamily.from_sets(4, f.sets) == f
 
 
 class TestDual:
@@ -75,7 +97,7 @@ class TestDual:
     def test_double_dual_preserves_incidence(self, seed):
         rng = random.Random(seed)
         t, n = rng.randint(1, 8), rng.randint(1, 8)
-        f = SetFamily(
+        f = SetFamily.from_sets(
             t,
             tuple(
                 frozenset(x for x in range(t) if rng.random() < 0.5)
@@ -151,7 +173,7 @@ class TestIsCoverFree:
             other = frozenset(x for x in range(t) if rng.random() < 0.5)
             if other in (small, big):
                 continue
-            f = SetFamily(t, (small, big, other))
+            f = SetFamily.from_sets(t, (small, big, other))
             assert not is_cover_free(f, 1, 2)
 
     @pytest.mark.parametrize("seed", range(200))

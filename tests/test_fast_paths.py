@@ -10,15 +10,24 @@ import inspect
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from conftest import cli_env
 from misrecon import graphs as lib_graphs
 from misrecon import lowerbounds, oracle, reconstruct, schemes
-from misrecon.coverfree import SetFamily, dual, is_cover_free
+from misrecon.coverfree import (
+    CffConstructionError,
+    SetFamily,
+    dual,
+    is_cover_free,
+    random_set_family,
+)
 from misrecon.graphs import Graph, VertexSet, gen_bounded_degree, sample_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
@@ -32,7 +41,7 @@ from misrecon.oracle import (
     run_scheme,
 )
 from misrecon.schemes import QueryScheme
-from misrecon.util import CapExceededError, derive_seed, shuffle
+from misrecon.util import CapExceededError, bernoulli_rows, derive_seed, shuffle
 
 # the host's speed varies, so no per-example deadline
 checked = settings(deadline=None, max_examples=150)
@@ -81,6 +90,72 @@ class TestRandomQueries:
                 fast = schemes.random_queries(1, 1, p, seed)
                 assert fast.queries[0].mask == (first < p)
                 assert fast == ref.random_queries(1, 1, p, seed)
+
+
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+
+
+class TestBernoulliRows:
+    """util.bernoulli_rows draws what per-element rng.random() < p draws."""
+
+    @checked
+    @given(
+        rows=st.integers(0, 40),
+        width=st.integers(0, 70),
+        p=PROBABILITIES,
+        seed=SEEDS,
+    )
+    @example(rows=17, width=65, p=0.3, seed=1)  # past a block and a 64-bit word
+    @example(rows=3, width=0, p=0.5, seed=2)
+    def test_equals_per_element_draws_and_leaves_same_state(self, rows, width, p, seed):
+        scalar, batched = random.Random(seed), random.Random(seed)
+        expected = [
+            sum(1 << j for j in range(width) if scalar.random() < p)
+            for _ in range(rows)
+        ]
+        assert bernoulli_rows(batched, rows, width, p) == expected
+        assert batched.getstate() == scalar.getstate()
+
+    @checked
+    @given(seed=SEEDS)
+    def test_draw_equal_to_p_is_excluded_and_just_below_included(self, seed):
+        first = random.Random(seed).random()
+        for p in (first, math.nextafter(first, 1.0)):
+            assert bernoulli_rows(random.Random(seed), 1, 1, p) == [int(first < p)]
+
+    def test_import_does_not_load_numpy_random(self):
+        # the drawer exists so that numpy.random (several MB) stays unloaded
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, misrecon; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+
+class TestRandomSetFamily:
+    @checked
+    @given(
+        data=st.data(),
+        t=st.integers(1, 4),
+        density=PROBABILITIES,
+        seed=SEEDS,
+        max_rounds=st.integers(1, 30),
+    )
+    @example(data=None, t=4, density=0.5, seed=0, max_rounds=100)
+    @example(data=None, t=2, density=0.0, seed=1, max_rounds=5)  # never distinct
+    @example(data=None, t=3, density=1.0, seed=2, max_rounds=5)
+    def test_equals_per_element_draws(self, data, t, density, seed, max_rounds):
+        # n up to 2^t, so duplicates are common and redraw rounds run
+        n = 2**t if data is None else data.draw(st.integers(0, 2**t))
+        outcomes = []
+        for build in (random_set_family, ref.random_set_family):
+            try:
+                outcomes.append(build(n, t, density, seed, max_rounds))
+            except CffConstructionError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestIsMis:
@@ -486,11 +561,11 @@ def families(draw, max_n=7, max_ground=6):
             min_size=n, max_size=n,
         )
     )
-    return SetFamily(ground, tuple(sets)), w
+    return SetFamily.from_sets(ground, sets), w
 
 
 def fam(ground, *sets):
-    return SetFamily(ground, tuple(frozenset(s) for s in sets))
+    return SetFamily.from_sets(ground, sets)
 
 
 class TestIsCoverFree:

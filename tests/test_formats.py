@@ -50,7 +50,7 @@ def set_families(draw):
     t = draw(st.integers(0, 8))
     sets = draw(st.lists(st.frozensets(st.integers(0, t - 1)) if t else
                          st.just(frozenset()), max_size=6))
-    return SetFamily(t, tuple(sets))
+    return SetFamily.from_sets(t, sets)
 
 
 @st.composite

@@ -5,6 +5,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misrecon.graphs import (
     AdversarialFamilyDesc,
@@ -61,6 +63,19 @@ class TestGraph:
         g = Graph(4, [(2, 0), (0, 2), (3, 1)])
         assert g.edges == ((0, 2), (1, 3))
         assert g.has_edge(2, 0) and g.has_edge(0, 2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_edges_equal_sorted_canonical_set(self, data, n):
+        # duplicates and reversed pairs collapse to one (u, v) with u < v
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(
+            st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]))
+        )
+        canonical = sorted({(min(e), max(e)) for e in pairs})
+        g = Graph(n, pairs)
+        assert g.edges == tuple(canonical)
+        assert g.num_edges == len(canonical)
 
     def test_max_degree_examples(self):
         assert max_degree(Graph.empty(5)) == 0

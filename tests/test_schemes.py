@@ -83,7 +83,7 @@ class TestCffScheme:
 
     def test_singleton_identity_family_rejected(self):
         def builder(n, w, r, seed):
-            return SetFamily(n, tuple(frozenset([v]) for v in range(n)))
+            return SetFamily.from_sets(n, ([v] for v in range(n)))
 
         with pytest.raises(SchemeConstructionError):
             cff_scheme(5, 1, builder=builder, seed=0)
@@ -99,7 +99,7 @@ class TestCffScheme:
 
     def test_skip_verification(self):
         def builder(n, w, r, seed):
-            return SetFamily(n, tuple(frozenset([v]) for v in range(n)))
+            return SetFamily.from_sets(n, ([v] for v in range(n)))
 
         scheme = cff_scheme(4, 1, builder=builder, seed=0, verify=False)
         assert len(scheme) == 4
@@ -107,7 +107,7 @@ class TestCffScheme:
     def test_fewer_than_two_vertices_rejected_first(self):
         # a builder that honours n = 1 used to reach math.comb(n - 2, ...)
         def builder(n, w, r, seed):
-            return SetFamily(1, tuple(frozenset([v]) for v in range(n)))
+            return SetFamily.from_sets(1, ([v] for v in range(n)))
 
         for n in (0, 1):
             with pytest.raises(ValueError, match="need n >= 2"):
