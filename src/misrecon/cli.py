@@ -100,9 +100,7 @@ def _build_scheme(args, n: int, delta: int) -> QueryScheme:
 
 def cmd_reconstruct(args) -> int:
     if args.graph is not None:
-        truth = graph_from_text(Path(args.graph).read_text())
-        if truth.n != args.n:
-            raise ValueError("graph file does not match --n")
+        truth = graph_from_text(Path(args.graph).read_text(), n=args.n)
     else:
         truth = _generate_graph(args)
     scheme = _build_scheme(args, truth.n, args.delta)

@@ -108,7 +108,13 @@ def read_rows(text: str) -> tuple[int, list[list[int]]]:
     extra = [ln for ln in lines[count + 1 :] if ln.strip()]
     if extra:
         raise ValueError(f"expected {count} member lines, found extra line {extra[0]!r}")
-    return size, [list(map(int, ln.split())) for ln in body]
+    rows = []
+    for ln in body:
+        try:
+            rows.append(list(map(int, ln.split())))
+        except ValueError as exc:
+            raise ValueError(f"bad member line: {ln!r}") from exc
+    return size, rows
 
 
 @dataclass(frozen=True)

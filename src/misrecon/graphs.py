@@ -122,8 +122,21 @@ class Graph:
 
     @classmethod
     def from_adjacency_masks(cls, masks: tuple[int, ...]) -> "Graph":
-        edges = [(u, v) for u, m in enumerate(masks) for v in iter_bits(m) if v > u]
-        return cls(len(masks), edges)
+        """The graph with adjacency masks[v] for each v, stored as given."""
+        n = len(masks)
+        for u, m in enumerate(masks):
+            if m < 0 or m >> n:
+                raise ValueError(f"adjacency mask of vertex {u} outside vertex range")
+            if m >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+            for v in iter_bits(m):
+                if not masks[v] >> u & 1:
+                    raise ValueError(f"edge ({u},{v}) missing from vertex {v}'s mask")
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(masks)
+        g.delta = max((m.bit_count() for m in masks), default=0)
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -410,14 +423,18 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
+def graph_from_text(text: str, n: int | None = None) -> Graph:
+    """Parse graph_to_text's format. With n given, a header that names another
+    vertex count is refused before anything is allocated."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
     try:
-        n, m = map(int, lines[0].split())
+        size, m = map(int, lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad graph header: {lines[0]!r}") from exc
+    if n is not None and size != n:
+        raise ValueError(f"graph file does not match n={n}: its header says {size}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -429,4 +446,4 @@ def graph_from_text(text: str) -> Graph:
         if u >= v:
             raise ValueError(f"edge line must satisfy u < v: {ln!r}")
         edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(size, edges)

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import coverfree
 from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff, read_rows
 from .graphs import (
@@ -172,12 +174,17 @@ def is_query_scheme(
 
     Returns True, or the first (in enumeration order) SchemeViolation: a pair
     of distinct max-degree-<=delta graphs with a common MIS on every query.
-    MIS families are computed once per distinct induced subgraph G[Q] and
-    shared by every graph that induces it; the common-MIS test per pair is
-    then a set-intersection. Measured on a 2-core VM at n=7, delta=2
-    (15,796 graphs, 1.2e8 pairs, so cap must be raised): a failing random
-    scheme (12 queries, p=0.5, seed 1) takes 1.1 s, and the passing scheme
-    of all 21 pair queries, whose pair loop runs to the end, 47 s.
+    The MIS families of G_i[Q] and G_j[Q] intersect iff some MIS S of G_i[Q]
+    is an MIS of G_j[Q], that is iff N_j(S) & Q == Q - S for the union
+    N_j(S) of adj_j[s] over s in S: S is independent in G_j and dominates
+    the rest of Q. So row i keeps its later graphs j as one candidate array
+    and filters it query by query, in scheme order, against G_i's families,
+    memoised per distinct G_i[Q]; the row ends when no candidate is left,
+    and its first candidate to pass every query is G_i's first partner.
+    Measured on a 2-core VM at n=7, delta=2 (15,796 graphs, 1.2e8 pairs, so
+    cap must be raised): a failing random scheme (12 queries, p=0.5, seed 1)
+    takes about 0.01 s, and the passing scheme of all 21 pair queries, which
+    scans every row, 4.4-5.4 s.
     """
     if delta >= 1:
         # the T(n) matchings alone make this many pairs: refuse before enumerating
@@ -191,29 +198,34 @@ def is_query_scheme(
         raise CapExceededError(
             f"{n_graphs * (n_graphs - 1) // 2} graph pairs exceed cap {cap}"
         )
-    queries = [(q.mask, tuple(iter_bits(q.mask))) for q in scheme.queries]
-    t = len(queries)
-    families: dict[tuple[int, tuple[int, ...]], frozenset[int]] = {}
-    signatures = []
-    for g in graphs:
-        adj = g.adjacency_masks
-        sig = []
+    # adj_t[v, j] = adj_j[v]. int64 holds every mask: the enumeration cap keeps
+    # n <= 13 for delta >= 1, and delta = 0 has one graph and no pair
+    adj_t = np.array([g.adjacency_masks for g in graphs], np.int64).T.copy()
+    # an empty query has the one answer {} on every graph: it separates nothing
+    queries = [(q.mask, tuple(iter_bits(q.mask))) for q in scheme.queries if q.mask]
+    families: dict[tuple[int, tuple[int, ...]], list[tuple[list[int], int]]] = {}
+    for i in range(n_graphs - 1):
+        adj = graphs[i].adjacency_masks
+        candidates = np.arange(i + 1, n_graphs)
         for qm, members in queries:
             key = (qm, tuple(adj[v] & qm for v in members))
             family = families.get(key)
             if family is None:
-                family = families[key] = _mis_family(adj, qm)
-            sig.append(family)
-        signatures.append(sig)
-    for i in range(n_graphs):
-        sig_i = signatures[i]
-        for j in range(i + 1, n_graphs):
-            sig_j = signatures[j]
-            for k in range(t):
-                if sig_i[k].isdisjoint(sig_j[k]):
-                    break
-            else:
-                return SchemeViolation(graphs[i], graphs[j])
+                family = families[key] = [
+                    (list(iter_bits(s)), qm & ~s) for s in _mis_family(adj, qm)
+                ]
+            columns = {v: adj_t[v][candidates] for v in members}
+            keep = np.zeros(candidates.size, bool)
+            for s_members, rest in family:
+                nbrs = 0
+                for v in s_members:
+                    nbrs = nbrs | columns[v]
+                keep |= nbrs & qm == rest
+            candidates = candidates[keep]
+            if not candidates.size:
+                break
+        if candidates.size:
+            return SchemeViolation(graphs[i], graphs[candidates[0]])
     return True
 
 

@@ -250,6 +250,7 @@ class TestExperimentDispatch:
             # a line past the counted ones used to be dropped without a word
             ("3 1\n0 1\n2\n", "expected 1 member lines, found extra line '2'"),
             ("3 2\n0 1\n", "expected 2 member lines, found 1"),
+            ("3 1\n0 x\n", "bad member line: '0 x'"),
         ],
     )
     def test_bad_scheme_file_exits_two(self, text, message, tmp_path, capsys):
@@ -276,6 +277,27 @@ class TestExperimentDispatch:
         code, stdout, err = run_cli(
             ["experiment", "lemma7", "--family", str(family_path), "--w", "1",
              "--r", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n" and not stdout
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # refused on its header: building it would allocate 10^15 masks
+            ("1000000000000000 0\n",
+             "graph file does not match n=5: its header says 1000000000000000"),
+            ("6 0\n", "graph file does not match n=5: its header says 6"),
+            ("5 1\n0 x\n", "bad edge line: '0 x'"),
+        ],
+    )
+    def test_bad_graph_file_exits_two(self, text, message, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text(text)
+        code, stdout, err = run_cli(
+            ["reconstruct", "--n", "5", "--delta", "1", "--seed", "1",
+             "--graph", str(graph_path)],
             capsys,
         )
         assert code == 2

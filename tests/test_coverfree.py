@@ -58,6 +58,9 @@ class TestSetFamily:
         with pytest.raises(ValueError, match="found extra line '2'"):
             SetFamily.from_text("3 1\n0 1\n2\n")
         assert SetFamily.from_text("3 1\n0 1\n\n \n") == fam(3, [0, 1])
+        # a member that is not an integer is reported with its line
+        with pytest.raises(ValueError, match=r"^bad member line: '0 x'$"):
+            SetFamily.from_text("3 1\n0 x\n")
 
     @pytest.mark.parametrize(
         "build",

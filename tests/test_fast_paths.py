@@ -596,10 +596,20 @@ def small_schemes(draw):
 
 class TestIsQueryScheme:
     @settings(deadline=None, max_examples=60)
-    @given(scheme=small_schemes(), delta=st.sampled_from([1, 2]))
+    @given(scheme=small_schemes(), delta=st.sampled_from([0, 1, 2]))
     @example(scheme=query_scheme(5, *itertools.combinations(range(5), 2)), delta=2)
     # two queries of one size that induce equal adjacency rows on some graph
     @example(scheme=query_scheme(4, [0, 1, 3], [0, 1, 2], [0, 2, 3]), delta=2)
+    # the first witness is graph pair (2, 41): rows 0 and 1 are separated
+    @example(
+        scheme=query_scheme(5, [0, 1, 2, 3], [0, 1, 2, 4], range(5), [1, 3, 4]),
+        delta=2,
+    )
+    # an empty query separates nothing and a repeated one nothing more
+    @example(
+        scheme=query_scheme(5, [0, 1, 3], [], [0, 1, 3], [1, 2, 4], [2, 3, 4]),
+        delta=2,
+    )
     def test_equals_reference_pair_loop(self, scheme, delta):
         result = schemes.is_query_scheme(scheme, delta)
         assert result == ref.is_query_scheme(scheme, delta)

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,28 @@ class TestGraph:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(0, 1)]))
         assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+
+    @given(data=st.data(), n=st.integers(0, 7))
+    def test_from_adjacency_masks_equals_edge_constructor(self, data, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges)
+        built = Graph.from_adjacency_masks(g.adjacency_masks)
+        assert built == g and hash(built) == hash(g)
+        assert built.delta == g.delta and built.edges == g.edges
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ((0b10, 0b01, 0b1000), "adjacency mask of vertex 2 outside vertex range"),
+            ((0b10, -1, 0), "adjacency mask of vertex 1 outside vertex range"),
+            ((0b01, 0), "self-loop at vertex 0"),
+            ((0b110, 0b001, 0), "edge (0,2) missing from vertex 2's mask"),
+        ],
+    )
+    def test_from_adjacency_masks_refuses_invalid_masks(self, masks, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph.from_adjacency_masks(masks)
 
 
 class TestInducedContext:
@@ -296,3 +319,9 @@ class TestTextFormat:
             graph_from_text("3 2\n0 1\n")
         with pytest.raises(ValueError):
             graph_from_text("3 1\n1 0\n")
+
+    def test_expected_size_checked_before_allocation(self):
+        assert graph_from_text("3 1\n0 2\n", n=3) == Graph(3, [(0, 2)])
+        # a header of 10^15 vertices would ask for petabytes if it were built
+        with pytest.raises(ValueError, match="does not match n=5: its header says 10{15}$"):
+            graph_from_text(f"{10**15} 0\n", n=5)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from misrecon.coverfree import SetFamily, is_cover_free
-from misrecon.graphs import Graph, VertexSet
+from misrecon.graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
 from misrecon.schemes import (
     QueryScheme,
     SchemeConstructionError,
@@ -17,7 +17,7 @@ from misrecon.schemes import (
     random_queries,
     randomized_scheme,
 )
-from misrecon.util import CapExceededError
+from misrecon.util import CapExceededError, derive_seed
 from scalar_reference import common_mis
 
 
@@ -134,6 +134,28 @@ class TestIsQueryScheme:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             is_query_scheme(pair_scheme(6), 2, cap=10)
+
+    def test_c02_slice_verdicts_and_witnesses(self):
+        # the delta=2 random schemes 0..5 of the c02 acceptance corpus, built
+        # as c02 builds them; each first witness is a pair of indices into
+        # enumerate_bounded_degree_graphs(6, 2), as the all-pairs loop found it
+        rng = random.Random(20_000)
+        corpus = []
+        for delta in (1, 2):
+            for i in range(26):
+                t = rng.randint(1, 12)
+                p = rng.uniform(0.15, 0.9)
+                if delta == 2:
+                    corpus.append(random_queries(6, t, p, seed=derive_seed(7, delta, i)))
+        graphs = enumerate_bounded_degree_graphs(6, 2)
+        index = {g: k for k, g in enumerate(graphs)}
+        witnesses = []
+        for scheme in corpus[:6]:
+            result = is_query_scheme(scheme, 2)
+            assert isinstance(result, SchemeViolation)
+            witnesses.append((index[result.g], index[result.h]))
+        assert [len(s) for s in corpus[:6]] == [3, 7, 4, 9, 1, 5]
+        assert witnesses == [(1, 2), (1, 3), (0, 1), (2, 10), (1, 2), (0, 8)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_always_audits(self, seed):
