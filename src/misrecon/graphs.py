@@ -48,10 +48,6 @@ class VertexSet:
                 raise ValueError(f"member {v} outside universe of size {n}")
         return cls(n, mask_from_members(members))
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
     def members(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.mask))
 
@@ -60,36 +56,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and self.mask >> v & 1 == 1
-
-    def _check(self, other: "VertexSet"):
-        if self.n != other.n:
-            raise ValueError("universe mismatch")
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
 
 
 class Graph:
@@ -201,39 +167,37 @@ def _require_room(n: int, delta: int) -> None:
 class AdversarialFamilyDesc:
     """Parameters of a hidden-clique graph family.
 
-    clique is the set U (a clique whose members each take
+    clique is the mask of the set U (a clique whose members each take
     per_clique_free_slots extra neighbours outside U); forced_block is the
-    set W completely joined to U, present only in the three-part variant.
+    mask of the set W completely joined to U, nonzero only in the three-part
+    variant.
     """
 
     n: int
     delta: int
-    clique: VertexSet
-    forced_block: VertexSet | None = None
+    clique: int
+    forced_block: int = 0
 
     def __post_init__(self):
-        u_size, w_size, _ = family_shape(self.delta, self.forced_block is not None)
-        block = self._block()
-        if self.clique.n != self.n or block.n != self.n:
-            raise ValueError("clique or forced block universe mismatch")
-        if not self.clique.isdisjoint(block):
+        u_size, w_size, _ = family_shape(self.delta, self.forced_block != 0)
+        taken = self.clique | self.forced_block  # negative iff either is
+        if taken < 0 or taken >> self.n:
+            raise ValueError("clique or forced block outside vertices 0..n-1")
+        if self.clique & self.forced_block:
             raise ValueError("clique and forced block must be disjoint")
-        if (len(self.clique), len(block)) != (u_size, w_size):
+        if (self.clique.bit_count(), self.forced_block.bit_count()) != (u_size, w_size):
             raise ValueError("clique and forced block sizes do not fit delta")
 
     @property
     def per_clique_free_slots(self) -> int:
-        return family_shape(self.delta, self.forced_block is not None)[2]
-
-    def _block(self) -> VertexSet:
-        return VertexSet(self.n) if self.forced_block is None else self.forced_block
+        return family_shape(self.delta, self.forced_block != 0)[2]
 
     def parts(self) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
         """U, W and V \\ (U | W), each in ascending order; W is empty when absent."""
         _require_room(self.n, self.delta)
-        block = self._block()
-        rest = (self.clique | block).complement()
-        return self.clique.members(), block.members(), list(rest)
+        taken = self.clique | self.forced_block
+        rest = [v for v in range(self.n) if not taken >> v & 1]
+        return tuple(iter_bits(self.clique)), tuple(iter_bits(self.forced_block)), rest
 
     def size(self) -> int:
         """Number of family members: each u in U picks its slots from the rest."""
@@ -307,8 +271,8 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, 
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, picked[:u_size]),
-        forced_block=VertexSet.from_members(n, picked[u_size:]),
+        clique=mask_from_members(picked[:u_size]),
+        forced_block=mask_from_members(picked[u_size:]),
     )
     return _family_member(desc, rng), desc
 
@@ -323,7 +287,7 @@ def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
     return AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet(n, (1 << u_size) - 1),
+        clique=(1 << u_size) - 1,
     )
 
 
@@ -437,7 +401,8 @@ def graph_from_text(text: str, n: int | None = None) -> Graph:
         raise ValueError(f"graph file does not match n={n}: its header says {size}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
+    # a dict finds a repeated line at once and keeps the file's edge order
+    edges: dict[tuple[int, int], None] = {}
     for ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
@@ -445,5 +410,7 @@ def graph_from_text(text: str, n: int | None = None) -> Graph:
             raise ValueError(f"bad edge line: {ln!r}") from exc
         if u >= v:
             raise ValueError(f"edge line must satisfy u < v: {ln!r}")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError(f"repeated edge line: {ln!r}")
+        edges[u, v] = None
     return Graph(size, edges)

@@ -35,7 +35,7 @@ def _transcript_profiles(
     size = 0
     for g in family:
         transcript = run_scheme(g, scheme, policy)
-        profiles.add(tuple(a.mask for _, a in transcript.entries))
+        profiles.add(tuple(a for _, a in transcript.masks))
         size += 1
     if size == 0:
         raise ValueError("family is empty")
@@ -49,10 +49,10 @@ def per_query_answer_bound(scheme: QueryScheme, desc: AdversarialFamilyDesc) -> 
     otherwise at most |Q cap U| + 1 answers are possible.
     """
     bound = 1
-    for q in scheme.queries:
-        if desc.forced_block is not None and not q.isdisjoint(desc.forced_block):
+    for q in scheme.masks:
+        if q & desc.forced_block:
             continue
-        bound *= len(q & desc.clique) + 1
+        bound *= (q & desc.clique).bit_count() + 1
     return bound
 
 
@@ -131,11 +131,11 @@ def dq_statistics(
         scheme = scheme_gen(derive_seed(trial_seed, 1))
         logs: list[float] = []
         hits = 0
-        for q in scheme.queries:
-            if q.mask & w_mask:
+        for q in scheme.masks:
+            if q & w_mask:
                 logs.append(0.0)
             else:
-                in_u = (q.mask & u_mask).bit_count()
+                in_u = (q & u_mask).bit_count()
                 logs.append(math.log(in_u + 1))
                 hits += in_u
         return logs, hits

@@ -23,47 +23,50 @@ class OracleError(RuntimeError):
     """A policy produced an answer that is not an MIS of the induced subgraph."""
 
 
-def is_mis(g: Graph, q: VertexSet, i: VertexSet) -> bool:
-    """True iff i is independent in g and every vertex of q\\i has a neighbour in i."""
-    if q.n != g.n or i.n != g.n:
-        raise ValueError("universe mismatch")
-    imask = i.mask
-    if imask & ~q.mask:
+def _check_query(n: int, q: int) -> None:
+    """ValueError unless the mask q is a set of vertices 0..n-1."""
+    if q < 0 or q >> n:
+        raise ValueError(f"query mask {q} outside vertices 0..{n - 1}")
+
+
+def is_mis(g: Graph, q: int, i: int) -> bool:
+    """True iff the mask i is independent in g and every vertex of q\\i has a
+    neighbour in i."""
+    _check_query(g.n, q)
+    if i & ~q:
         raise ValueError("candidate set must be contained in the query")
     # adjacency is symmetric, so i is independent iff no member lies in the
     # union of its neighbourhoods, and maximal iff that union covers q \ i
     adj = g.adjacency_masks
     covered = 0
-    rest = imask
+    rest = i
     while rest:  # iter_bits inlined: this runs once per oracle answer
         low = rest & -rest
         covered |= adj[low.bit_length() - 1]
         rest ^= low
-    return not covered & imask and not q.mask & ~imask & ~covered
+    return not covered & i and not q & ~i & ~covered
 
 
-def greedy_mis(g: Graph, q: VertexSet, order: Sequence[int]) -> VertexSet:
+def greedy_mis(g: Graph, q: int, order: Sequence[int]) -> int:
     """Scan q in the given vertex order, adding a vertex iff no chosen neighbour.
 
     `order` is a permutation of 0..n-1 (vertices outside q are skipped).
     """
-    qmask = q.mask
-    return _greedy_insert(g, q, [v for v in order if qmask >> v & 1])
+    return _greedy_insert(g, q, [v for v in order if q >> v & 1])
 
 
-def _greedy_insert(g: Graph, q: VertexSet, members: Iterable[int]) -> VertexSet:
+def _greedy_insert(g: Graph, q: int, members: Iterable[int]) -> int:
     """greedy_mis over an order that holds only members of q."""
-    if q.n != g.n:
-        raise ValueError("universe mismatch")
+    _check_query(g.n, q)
     adj = g.adjacency_masks
     mis = 0
     for v in members:
         if not adj[v] & mis:
             mis |= 1 << v
-    return VertexSet(g.n, mis)
+    return mis
 
 
-def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
+def random_mis(g: Graph, q: int, seed: int) -> int:
     """Greedy MIS under a uniformly random permutation of q derived from seed.
 
     An edgeless G[Q] has Q as its only MIS, so it is answered without seeding
@@ -72,42 +75,36 @@ def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
     return _shuffled_greedy(g, q, lambda: random.Random(seed))
 
 
-def _shuffled_greedy(
-    g: Graph, q: VertexSet, seeded: Callable[[], random.Random]
-) -> VertexSet:
+def _shuffled_greedy(g: Graph, q: int, seeded: Callable[[], random.Random]) -> int:
     """Q if G[Q] is edgeless, else greedy over q shuffled by the seeded() generator."""
-    if q.n != g.n:
-        raise ValueError("universe mismatch")
-    adj, qmask = g.adjacency_masks, q.mask
-    rest = qmask
+    _check_query(g.n, q)
+    adj = g.adjacency_masks
+    rest = q
     while rest:  # iter_bits inlined: most queries of an exhaustive sweep end here
         low = rest & -rest
-        if adj[low.bit_length() - 1] & qmask:
-            members = list(iter_bits(qmask))
+        if adj[low.bit_length() - 1] & q:
+            members = list(iter_bits(q))
             shuffle(seeded(), members)
             return _greedy_insert(g, q, members)
         rest ^= low
     return q
 
 
-def adversarial_clique_answer(
-    g: Graph, desc: AdversarialFamilyDesc, q: VertexSet
-) -> VertexSet:
+def adversarial_clique_answer(g: Graph, desc: AdversarialFamilyDesc, q: int) -> int:
     """Answer revealing as little as possible about the hidden clique.
 
     Returns Q \\ U when that is already maximal; otherwise adds the
     lowest-index clique vertex with no neighbour in Q \\ U. One of the two
     cases always applies for members of the described family.
     """
-    if q.n != g.n or desc.n != g.n:
-        raise ValueError("universe mismatch")
-    umask = desc.clique.mask
-    outside = VertexSet(g.n, q.mask & ~umask)
+    if desc.n != g.n:
+        raise ValueError("family descriptor does not match the graph's vertices")
+    outside = q & ~desc.clique
     if is_mis(g, q, outside):
         return outside
-    for u in iter_bits(q.mask & umask):
-        if not g.adjacency_mask(u) & outside.mask:
-            return VertexSet(g.n, outside.mask | 1 << u)
+    for u in iter_bits(q & desc.clique):
+        if not g.adjacency_mask(u) & outside:
+            return outside | 1 << u
     raise OracleError("graph is not a member of the described clique family")
 
 
@@ -117,8 +114,8 @@ class GreedyLexPolicy:
     # the answer depends only on (g, q), so run_scheme asks once per distinct q
     index_free = True
 
-    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
-        return _greedy_insert(g, q, iter_bits(q.mask))
+    def answer(self, g: Graph, q: int, index: int) -> int:
+        return _greedy_insert(g, q, iter_bits(q))
 
 
 class GreedyOrderPolicy:
@@ -127,7 +124,7 @@ class GreedyOrderPolicy:
     def __init__(self, order: Sequence[int]):
         self.order = tuple(order)
 
-    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
+    def answer(self, g: Graph, q: int, index: int) -> int:
         return greedy_mis(g, q, self.order)
 
 
@@ -143,7 +140,7 @@ class RandomMisPolicy:
         self.seed = seed
         self._rng: random.Random | None = None
 
-    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
+    def answer(self, g: Graph, q: int, index: int) -> int:
         return _shuffled_greedy(g, q, lambda: self._reseeded(index))
 
     def _reseeded(self, index: int) -> random.Random:
@@ -161,72 +158,67 @@ class AdversarialCliquePolicy:
     def __init__(self, desc: AdversarialFamilyDesc):
         self.desc = desc
 
-    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
+    def answer(self, g: Graph, q: int, index: int) -> int:
         return adversarial_clique_answer(g, self.desc, q)
 
 
-def make_policy(
-    kind: str,
-    seed: int | None = None,
-    desc: AdversarialFamilyDesc | None = None,
-    order: Sequence[int] | None = None,
-):
+def make_policy(kind: str, seed: int | None = None):
+    """The policy behind a CLI --policy token: greedy-lex, or random with a seed."""
     if kind == "greedy-lex":
         return GreedyLexPolicy()
-    if kind == "greedy-order":
-        if order is None:
-            raise ValueError("greedy-order policy needs an order")
-        return GreedyOrderPolicy(order)
     if kind == "random":
         if seed is None:
             raise ValueError("random policy needs a seed")
         return RandomMisPolicy(seed)
-    if kind == "adversarial-clique":
-        if desc is None:
-            raise ValueError("adversarial-clique policy needs a family descriptor")
-        return AdversarialCliquePolicy(desc)
     raise ValueError(f"unknown policy kind: {kind}")
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered (query, answer) pairs produced by one oracle run."""
+    """Ordered (query, answer) mask pairs produced by one oracle run."""
 
     n: int
-    entries: tuple[tuple[VertexSet, VertexSet], ...]
+    masks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.n
-        for q, a in self.entries:
-            if q.n != n or a.n != n:
-                raise ValueError("entry universe mismatch")
-            if a.mask & ~q.mask:
+        for q, a in self.masks:
+            _check_query(self.n, q)
+            if a & ~q:
                 raise ValueError("answer not contained in its query")
 
+    @property
+    def entries(self) -> tuple[tuple[VertexSet, VertexSet], ...]:
+        """The pairs as VertexSets, built from the masks on each access."""
+        n = self.n
+        return tuple((VertexSet(n, q), VertexSet(n, a)) for q, a in self.masks)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.masks)
 
     def to_text(self) -> str:
         lines = [
-            json.dumps({"query": list(q.members()), "answer": list(a.members())})
-            for q, a in self.entries
+            json.dumps({"query": list(iter_bits(q)), "answer": list(iter_bits(a))})
+            for q, a in self.masks
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "Transcript":
-        entries = []
+        pairs = []
         for ln in text.splitlines():
             if not ln.strip():
                 continue
             try:
                 rec = json.loads(ln)
-                q = VertexSet.from_members(n, rec["query"])
-                a = VertexSet.from_members(n, rec["answer"])
+                q, a = rec["query"], rec["answer"]
+                # bool is an int subclass, and JSON true must not read as vertex 1
+                if not all(type(v) is int for v in (*q, *a)):
+                    raise TypeError("transcript members must be integers")
+                pair = tuple(VertexSet.from_members(n, s).mask for s in (q, a))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"bad transcript line: {ln!r}") from exc
-            entries.append((q, a))
-        return cls(n, tuple(entries))
+            pairs.append(pair)
+        return cls(n, tuple(pairs))
 
 
 def run_scheme(g: Graph, scheme, policy) -> Transcript:
@@ -242,19 +234,18 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
         raise ValueError("scheme universe does not match graph")
     answers = {} if getattr(policy, "index_free", False) else None
     verified = set()
-    entries = []
-    for index, q in enumerate(scheme.queries):
+    pairs = []
+    for index, q in enumerate(scheme.masks):
         if answers is None:
             a = policy.answer(g, q, index)
         else:
-            a = answers.get(q.mask)
+            a = answers.get(q)
             if a is None:
-                a = answers[q.mask] = policy.answer(g, q, index)
-        # an answer outside g's universe is refused by Transcript below
-        key = (q.mask, a.mask)
+                a = answers[q] = policy.answer(g, q, index)
+        key = (q, a)
         if key not in verified:
             if not is_mis(g, q, a):
                 raise OracleError(f"policy answer for query {index} is not an MIS")
             verified.add(key)
-        entries.append((q, a))
-    return Transcript(g.n, tuple(entries))
+        pairs.append(key)
+    return Transcript(g.n, tuple(pairs))

@@ -52,9 +52,9 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
     # co-occurrence is a union over masks, so each distinct mask is unpacked once
-    entries = transcript.entries
-    queried = _co_occurs(n, list(dict.fromkeys(q.mask for q, _ in entries)))
-    answered = _co_occurs(n, list(dict.fromkeys(a.mask for _, a in entries)))
+    pairs = transcript.masks
+    queried = _co_occurs(n, list(dict.fromkeys(q for q, _ in pairs)))
+    answered = _co_occurs(n, list(dict.fromkeys(a for _, a in pairs)))
     # a co-answered pair is a certified non-edge; of the other pairs u < v,
     # the co-queried ones are edges and the rest stay unknown
     open_pairs = np.triu(~answered, 1)
@@ -96,7 +96,9 @@ def _co_occurs(n: int, masks: list[int]) -> np.ndarray:
 
 def consistency_check(g_hat: Graph, transcript: Transcript) -> bool:
     """True iff every transcript answer is an MIS of g_hat restricted to its query."""
-    return all(is_mis(g_hat, q, a) for q, a in transcript.entries)
+    if transcript.n != g_hat.n:
+        raise ValueError("transcript universe does not match graph")
+    return all(is_mis(g_hat, q, a) for q, a in transcript.masks)
 
 
 def decode_result_to_text(result: DecodeResult) -> str:

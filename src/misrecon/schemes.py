@@ -25,7 +25,7 @@ from .graphs import (
     enumerate_bounded_degree_graphs,
     matching_count,
 )
-from .oracle import is_mis  # noqa: F401  schemes.is_mis is a binding perfbench wraps
+from .oracle import _check_query, is_mis  # noqa: F401  perfbench wraps schemes.is_mis
 from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits
 
 DEFAULT_PAIR_CAP = int(os.environ.get("MISRECON_PAIR_CAP", 5 * 10**6))
@@ -37,24 +37,28 @@ class SchemeConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class QueryScheme:
-    """Ordered list of queries over vertices 0..n-1 (duplicates are harmless)."""
+    """Ordered list of query masks over vertices 0..n-1 (duplicates are harmless)."""
 
     n: int
-    queries: tuple[VertexSet, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"scheme universe size must be >= 0, got {self.n}")
-        for q in self.queries:
-            if q.n != self.n:
-                raise ValueError("query universe mismatch")
+        for m in self.masks:
+            _check_query(self.n, m)
+
+    @property
+    def queries(self) -> tuple[VertexSet, ...]:
+        """The queries as VertexSets, built from the masks on each access."""
+        return tuple(VertexSet(self.n, m) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.masks)
 
     def as_set_family(self) -> SetFamily:
         """The queries as a family of sets over ground {0,..,n-1}."""
-        return SetFamily(self.n, tuple(q.mask for q in self.queries))
+        return SetFamily(self.n, self.masks)
 
     def dual_family(self) -> SetFamily:
         """One set per vertex v: the indices of queries containing v."""
@@ -66,7 +70,7 @@ class QueryScheme:
     @classmethod
     def from_text(cls, text: str) -> "QueryScheme":
         n, rows = read_rows(text)
-        return cls(n, tuple(VertexSet.from_members(n, r) for r in rows))
+        return cls(n, tuple(VertexSet.from_members(n, r).mask for r in rows))
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -76,7 +80,7 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     rng = random.Random(derive_seed(seed))
-    return QueryScheme(n, tuple(VertexSet(n, m) for m in bernoulli_rows(rng, t, n, p)))
+    return QueryScheme(n, tuple(bernoulli_rows(rng, t, n, p)))
 
 
 def randomized_scheme(n: int, delta: int, c: float, p: float, seed: int) -> QueryScheme:
@@ -127,7 +131,7 @@ def cff_scheme(
             raise SchemeConstructionError(
                 f"builder family is not (2,{2 * delta})-cover-free: {witness}"
             )
-    return QueryScheme(n, tuple(VertexSet(n, m) for m in family.membership_masks()))
+    return QueryScheme(n, tuple(family.membership_masks()))
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ def is_query_scheme(
     # n <= 13 for delta >= 1, and delta = 0 has one graph and no pair
     adj_t = np.array([g.adjacency_masks for g in graphs], np.int64).T.copy()
     # an empty query has the one answer {} on every graph: it separates nothing
-    queries = [(q.mask, tuple(iter_bits(q.mask))) for q in scheme.queries if q.mask]
+    queries = [(qm, tuple(iter_bits(qm))) for qm in scheme.masks if qm]
     families: dict[tuple[int, tuple[int, ...]], list[tuple[list[int], int]]] = {}
     for i in range(n_graphs - 1):
         adj = graphs[i].adjacency_masks

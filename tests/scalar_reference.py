@@ -42,7 +42,7 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
         for v in range(n):
             if rng.random() < p:
                 mask |= 1 << v
-        queries.append(VertexSet(n, mask))
+        queries.append(mask)
     return QueryScheme(n, tuple(queries))
 
 
@@ -90,35 +90,34 @@ def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def is_mis(g: Graph, q: VertexSet, i: VertexSet) -> bool:
+def is_mis(g: Graph, q: int, i: int) -> bool:
     """Per-vertex definition: no member has a neighbour in i, and every other
-    vertex of q has one."""
-    imask = i.mask
-    for v in iter_bits(imask):
-        if g.adjacency_mask(v) & imask:
+    vertex of q has one (q and i are masks)."""
+    for v in iter_bits(i):
+        if g.adjacency_mask(v) & i:
             return False
-    for v in iter_bits(q.mask & ~imask):
-        if not g.adjacency_mask(v) & imask:
+    for v in iter_bits(q & ~i):
+        if not g.adjacency_mask(v) & i:
             return False
     return True
 
 
-def greedy_mis(g: Graph, q: VertexSet, order) -> VertexSet:
+def greedy_mis(g: Graph, q: int, order) -> int:
     """Scan order, adding each vertex of q that has no chosen neighbour."""
     mis = 0
     for v in order:
-        if q.mask >> v & 1 and not g.adjacency_mask(v) & mis:
+        if q >> v & 1 and not g.adjacency_mask(v) & mis:
             mis |= 1 << v
-    return VertexSet(g.n, mis)
+    return mis
 
 
-def random_mis(g: Graph, q: VertexSet, seed: int) -> VertexSet:
-    members = list(iter_bits(q.mask))
+def random_mis(g: Graph, q: int, seed: int) -> int:
+    members = list(iter_bits(q))
     random.Random(seed).shuffle(members)
     return greedy_mis(g, q, members)
 
 
-def greedy_lex(g: Graph, q: VertexSet) -> VertexSet:
+def greedy_lex(g: Graph, q: int) -> int:
     return greedy_mis(g, q, range(g.n))
 
 
@@ -128,14 +127,14 @@ class RandomMisPolicy:
     def __init__(self, seed: int):
         self.seed = seed
 
-    def answer(self, g: Graph, q: VertexSet, index: int) -> VertexSet:
+    def answer(self, g: Graph, q: int, index: int) -> int:
         return random_mis(g, q, derive_seed(self.seed, index))
 
 
 def run_scheme(g: Graph, scheme: QueryScheme, policy) -> Transcript:
     """Ask the policy about every query in order and check every answer."""
     entries = []
-    for index, q in enumerate(scheme.queries):
+    for index, q in enumerate(scheme.masks):
         a = policy.answer(g, q, index)
         if not is_mis(g, q, a):
             raise OracleError(f"policy answer for query {index} is not an MIS")
@@ -147,11 +146,11 @@ def decode(n: int, transcript: Transcript):
     """(edges, unknown pairs) by the O(n^2) pair loop over OR-ed masks."""
     co_queried = [0] * n
     co_answered = [0] * n
-    for q, a in transcript.entries:
-        for v in iter_bits(q.mask):
-            co_queried[v] |= q.mask
-        for v in iter_bits(a.mask):
-            co_answered[v] |= a.mask
+    for q, a in transcript.masks:
+        for v in iter_bits(q):
+            co_queried[v] |= q
+        for v in iter_bits(a):
+            co_answered[v] |= a
     edges = []
     unknown = []
     for u in range(n):
@@ -196,26 +195,25 @@ def max_degree(g: Graph) -> int:
     return g.delta
 
 
-def induced_mis_context(g: Graph, q: VertexSet) -> dict[int, int]:
+def induced_mis_context(g: Graph, q: int) -> dict[int, int]:
     """Adjacency of the subgraph induced by q, keyed by original vertex index.
 
     Values are neighbour bitmasks restricted to q; no relabelling happens, so
     independent sets computed on this view are reported in original indices.
     """
-    if q.n != g.n:
+    if q < 0 or q >> g.n:
         raise ValueError("query universe does not match graph")
-    return {v: g.adjacency_mask(v) & q.mask for v in iter_bits(q.mask)}
+    return {v: g.adjacency_mask(v) & q for v in iter_bits(q)}
 
 
-def common_mis(g: Graph, h: Graph, q: VertexSet) -> VertexSet | None:
+def common_mis(g: Graph, h: Graph, q: int) -> int | None:
     """A set that is an MIS of both induced subgraphs, or None.
 
     Independent re-derivation via is_mis, used to audit witnesses.
     """
-    for m in mis_family(g.adjacency_masks, q.mask):
-        cand = VertexSet(g.n, m)
-        if is_mis(h, q, cand):
-            return cand
+    for m in mis_family(g.adjacency_masks, q):
+        if is_mis(h, q, m):
+            return m
     return None
 
 
@@ -227,7 +225,7 @@ def is_query_scheme(scheme: QueryScheme, delta: int):
     """
     graphs = enumerate_bounded_degree_graphs(scheme.n, delta)
     signatures = [
-        [mis_family(g.adjacency_masks, q.mask) for q in scheme.queries]
+        [mis_family(g.adjacency_masks, q) for q in scheme.masks]
         for g in graphs
     ]
     for i, j in itertools.combinations(range(len(graphs)), 2):
@@ -267,10 +265,10 @@ def dual(f: SetFamily) -> SetFamily:
     return SetFamily.from_sets(f.n, sets)
 
 
-def cff_queries(n: int, family: SetFamily) -> tuple[VertexSet, ...]:
-    """The CFF scheme's queries, query_x = {v : x in R_v}, by `x in s` scans."""
+def cff_queries(n: int, family: SetFamily) -> tuple[int, ...]:
+    """The CFF scheme's query masks, query_x = {v : x in R_v}, by `x in s` scans."""
     return tuple(
-        VertexSet.from_members(n, (v for v, s in enumerate(family.sets) if x in s))
+        VertexSet.from_members(n, (v for v, s in enumerate(family.sets) if x in s)).mask
         for x in range(family.ground_size)
     )
 
@@ -295,7 +293,7 @@ def sample_clique_family(n: int, delta: int, seed: int):
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, range(u_size)),
+        clique=VertexSet.from_members(n, range(u_size)).mask,
     )
     return Graph(n, edges), desc
 
@@ -322,8 +320,8 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int):
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, clique),
-        forced_block=VertexSet.from_members(n, block),
+        clique=VertexSet.from_members(n, clique).mask,
+        forced_block=VertexSet.from_members(n, block).mask,
     )
     return Graph(n, edges), desc
 
@@ -358,13 +356,14 @@ def enumerate_clique_family(n: int, delta: int, cap: int = DEFAULT_ENUM_CAP):
 def enumerate_blocked_clique_family(
     n: int,
     delta: int,
-    clique: VertexSet,
-    forced_block: VertexSet,
+    clique: int,
+    forced_block: int,
     cap: int = DEFAULT_ENUM_CAP,
 ):
-    """Slot choices of the forced-block family for a fixed (U, W)."""
+    """Slot choices of the forced-block family for a fixed (U, W) of masks."""
     if delta < 3:
         raise ValueError("delta must be >= 3")
+    clique, forced_block = VertexSet(n, clique), VertexSet(n, forced_block)
     u_members = clique.members()
     w_members = forced_block.members()
     slots = delta - (len(u_members) - 1) - len(w_members)

@@ -116,10 +116,10 @@ def test_c02_duality_implications():
             total_random += 1
         structured = [
             QueryScheme(6, tuple(
-                VertexSet.from_members(6, [u, v])
+                VertexSet.from_members(6, [u, v]).mask
                 for u in range(6) for v in range(u + 1, 6)
             )),
-            QueryScheme(6, tuple(VertexSet.from_members(6, [v]) for v in range(6))),
+            QueryScheme(6, tuple(VertexSet.from_members(6, [v]).mask for v in range(6))),
             QueryScheme(6, ()),
             verified_cff_scheme(6, delta),
         ]

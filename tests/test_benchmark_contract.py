@@ -1,0 +1,70 @@
+"""What the benchmark under perfbench/ relies on in the package.
+
+perfbench/run.py names the functions and policy methods its tracer wraps,
+perfbench/smoke.py checks that some of them are also bound under other
+module names, and perfbench/workloads.py takes len() of queries and answers.
+perfbench/smoke.py takes seconds and is not part of this suite, so these
+checks keep a library change from breaking the benchmark unseen. run.py is
+read and executed in a fresh namespace, so no file under perfbench/ is
+written (importing it would cache its bytecode there).
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import misrecon
+from misrecon import coverfree, oracle, reconstruct, schemes
+from misrecon.graphs import gen_bounded_degree
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def _load_run() -> dict:
+    module = types.ModuleType("perfbench_run")
+    module.__file__ = str(RUN_PY)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(RUN_PY.read_text(), str(RUN_PY), "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    return vars(module)
+
+
+RUN = _load_run()
+
+
+@pytest.mark.parametrize("target", sorted(RUN["TRACED_FUNCTIONS"]))
+def test_traced_function_resolves(target):
+    module, attr = target.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(f"misrecon.{module}"), attr))
+
+
+@pytest.mark.parametrize("target", sorted(RUN["TRACED_METHODS"]))
+def test_traced_method_is_defined_on_its_own_class(target):
+    module, cls_name, attr = target.rsplit(".", 2)
+    cls = getattr(importlib.import_module(f"misrecon.{module}"), cls_name)
+    assert callable(vars(cls)[attr])
+
+
+def test_aliases_the_smoke_tests_unwrap():
+    assert schemes.is_mis is oracle.is_mis
+    assert reconstruct.is_mis is oracle.is_mis
+    assert reconstruct.run_scheme is oracle.run_scheme
+    assert schemes.is_cover_free is coverfree.is_cover_free
+    assert misrecon.decode is reconstruct.decode
+
+
+@pytest.mark.parametrize("kind", ["greedy-lex", "random"])
+def test_queries_and_answers_have_a_size(kind):
+    g = gen_bounded_degree(12, 3, 0.6, seed=1)
+    scheme = schemes.random_queries(12, 8, 0.4, seed=2)
+    transcript = oracle.run_scheme(g, scheme, oracle.make_policy(kind, seed=3))
+    assert [len(q) for q in scheme.queries] == [m.bit_count() for m in scheme.masks]
+    assert [len(a) for _, a in transcript.entries] == [
+        a.bit_count() for _, a in transcript.masks
+    ]

@@ -290,6 +290,8 @@ class TestExperimentDispatch:
              "graph file does not match n=5: its header says 1000000000000000"),
             ("6 0\n", "graph file does not match n=5: its header says 6"),
             ("5 1\n0 x\n", "bad edge line: '0 x'"),
+            # its header says 2 edges; read as a set, it would be a one-edge graph
+            ("5 2\n0 1\n0 1\n", "repeated edge line: '0 1'"),
         ],
     )
     def test_bad_graph_file_exits_two(self, text, message, tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from misrecon.cli import main
 from misrecon.coverfree import SetFamily
-from misrecon.graphs import Graph, VertexSet, graph_from_text, graph_to_text
+from misrecon.graphs import Graph, graph_from_text, graph_to_text
 from misrecon.oracle import Transcript
 from misrecon.reconstruct import (
     DecodeResult,
@@ -42,7 +42,7 @@ def graphs(draw):
 def schemes(draw):
     n = draw(st.integers(0, 8))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
-    return QueryScheme(n, tuple(VertexSet(n, m) for m in masks))
+    return QueryScheme(n, tuple(masks))
 
 
 @st.composite
@@ -60,7 +60,7 @@ def transcripts(draw):
     entries = []
     for q, keep in draw(st.lists(st.tuples(st.integers(0, full),
                                            st.integers(0, full)), max_size=6)):
-        entries.append((VertexSet(n, q), VertexSet(n, q & keep)))
+        entries.append((q, q & keep))
     return n, Transcript(n, tuple(entries))
 
 
@@ -160,3 +160,8 @@ class TestArbitraryFiles:
     @example("scheme", "99 0\n")
     def test_never_an_internal_error(self, kind, text):
         assert _exit_code(kind, text) in (0, 1, 2, 3)
+
+    def test_repeated_edge_line_exits_two(self):
+        # the header counts two edges; the one edge twice is not two edges
+        assert _exit_code("graph", "5 2\n0 1\n0 1\n") == 2
+        assert _exit_code("graph", "5 2\n0 1\n1 2\n") == 0

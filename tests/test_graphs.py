@@ -23,7 +23,7 @@ from misrecon.graphs import (
     sample_blocked_clique_family,
     clique_family_size,
 )
-from misrecon.util import CapExceededError
+from misrecon.util import CapExceededError, iter_bits
 from scalar_reference import induced_mis_context, max_degree
 
 
@@ -38,21 +38,9 @@ class TestVertexSet:
         assert len(s) == 3
         assert 3 in s and 2 not in s
 
-    def test_set_algebra(self):
-        a = VertexSet.from_members(6, [0, 1, 2])
-        b = VertexSet.from_members(6, [2, 3])
-        assert (a & b).members() == (2,)
-        assert (a | b).members() == (0, 1, 2, 3)
-        assert (a - b).members() == (0, 1)
-        assert a.complement().members() == (3, 4, 5)
-        assert (a & b).issubset(a)
-        assert VertexSet(6).isdisjoint(a)
-
     def test_universe_enforced(self):
         with pytest.raises(ValueError):
             VertexSet.from_members(3, [3])
-        with pytest.raises(ValueError):
-            VertexSet(4, 1) & VertexSet(5, 1)
 
 
 class TestGraph:
@@ -117,14 +105,14 @@ class TestGraph:
 
 class TestInducedContext:
     def test_triangle_restriction(self):
-        ctx = induced_mis_context(Graph.complete(3), VertexSet.from_members(3, [0, 1]))
+        ctx = induced_mis_context(Graph.complete(3), 0b011)
         assert ctx == {0: 0b010, 1: 0b001}
 
     def test_empty_query(self):
-        assert induced_mis_context(Graph.complete(5), VertexSet(5)) == {}
+        assert induced_mis_context(Graph.complete(5), 0) == {}
 
     def test_path_endpoints(self):
-        ctx = induced_mis_context(path_graph(3), VertexSet.from_members(3, [0, 2]))
+        ctx = induced_mis_context(path_graph(3), 0b101)
         assert ctx == {0: 0, 2: 0}
 
 
@@ -156,7 +144,7 @@ class TestBoundedDegreeGenerator:
 class TestCliqueFamilySampler:
     def test_single_clique_vertex_gets_exactly_two_neighbours(self):
         g, desc = sample_clique_family(9, 2, seed=4)
-        assert desc.clique.members() == (0,)
+        assert desc.clique == 0b1
         assert g.degree(0) == 2
         assert g.num_edges == 2
 
@@ -169,11 +157,10 @@ class TestCliqueFamilySampler:
     def test_outside_independent_and_degree_bounded(self, seed):
         g, desc = sample_clique_family(12, 4, seed=seed)
         assert g.delta <= 4
-        outside = desc.clique.complement()
         for u, v in g.edges:
-            assert u in desc.clique or v in desc.clique
+            assert desc.clique >> u & 1 or desc.clique >> v & 1
         # every clique vertex is saturated
-        for u in desc.clique:
+        for u in iter_bits(desc.clique):
             assert g.degree(u) == 4
 
     def test_capacity_validation(self):
@@ -184,24 +171,24 @@ class TestCliqueFamilySampler:
 class TestForcedBlockSampler:
     def test_forced_sizes_delta_three(self):
         g, desc = sample_blocked_clique_family(12, 3, seed=2)
-        assert len(desc.clique) == 1 and len(desc.forced_block) == 1
-        (u,) = desc.clique.members()
-        (w,) = desc.forced_block.members()
+        assert desc.clique.bit_count() == 1 and desc.forced_block.bit_count() == 1
+        (u,) = iter_bits(desc.clique)
+        (w,) = iter_bits(desc.forced_block)
         assert g.has_edge(u, w)
         assert g.degree(u) == 3
 
     @pytest.mark.parametrize("seed", range(100))
     def test_degree_audit(self, seed):
         g, desc = sample_blocked_clique_family(20, 5, seed=seed)
-        for u in desc.clique:
+        for u in iter_bits(desc.clique):
             assert g.degree(u) == 5
-        for w in desc.forced_block:
-            assert g.degree(w) == len(desc.clique)
-        for u in desc.clique:
-            for w in desc.forced_block:
+        for w in iter_bits(desc.forced_block):
+            assert g.degree(w) == desc.clique.bit_count()
+        for u in iter_bits(desc.clique):
+            for w in iter_bits(desc.forced_block):
                 assert g.has_edge(u, w)
         # V \ U independent
-        umask = desc.clique.mask
+        umask = desc.clique
         for a, b in g.edges:
             assert umask >> a & 1 or umask >> b & 1
         assert g.delta <= 5
@@ -237,9 +224,7 @@ class TestFamilyEnumeration:
         assert inspect.isgeneratorfunction(enumerate_clique_family)
 
     def test_forced_block_enumeration_count(self):
-        u = VertexSet.from_members(12, [0])
-        w = VertexSet.from_members(12, [1])
-        desc = AdversarialFamilyDesc(n=12, delta=3, clique=u, forced_block=w)
+        desc = AdversarialFamilyDesc(n=12, delta=3, clique=0b01, forced_block=0b10)
         assert desc.per_clique_free_slots == 2
         members = list(enumerate_family(desc))
         assert len(members) == len(set(members)) == math.comb(10, 2) == 45
@@ -296,9 +281,28 @@ class TestDescriptorValidation:
             AdversarialFamilyDesc(
                 n=9,
                 delta=3,
-                clique=VertexSet.from_members(9, [0]),
-                forced_block=VertexSet.from_members(9, [0]),
+                clique=0b1,
+                forced_block=0b1,
             )
+
+    @pytest.mark.parametrize(
+        "clique, block, message",
+        [
+            (1 << 9, 0b10, "outside vertices 0..n-1"),
+            (0b1, 1 << 9, "outside vertices 0..n-1"),
+            (-1, 0b10, "outside vertices 0..n-1"),
+            (0b11, 0b100, "sizes do not fit delta"),
+            (0b1, 0b110, "sizes do not fit delta"),
+        ],
+    )
+    def test_masks_checked(self, clique, block, message):
+        with pytest.raises(ValueError, match=message):
+            AdversarialFamilyDesc(n=9, delta=3, clique=clique, forced_block=block)
+
+    def test_zero_block_is_the_plain_family(self):
+        desc = AdversarialFamilyDesc(n=9, delta=3, clique=0b11)
+        assert desc.parts() == ((0, 1), (), list(range(2, 9)))
+        assert desc.per_clique_free_slots == 2
 
 
 class TestTextFormat:
@@ -319,6 +323,9 @@ class TestTextFormat:
             graph_from_text("3 2\n0 1\n")
         with pytest.raises(ValueError):
             graph_from_text("3 1\n1 0\n")
+        # the header counts two edges, and the file names one edge twice
+        with pytest.raises(ValueError, match="repeated edge line: '0 1'"):
+            graph_from_text("3 2\n0 1\n0 1\n")
 
     def test_expected_size_checked_before_allocation(self):
         assert graph_from_text("3 1\n0 2\n", n=3) == Graph(3, [(0, 2)])

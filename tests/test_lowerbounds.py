@@ -24,7 +24,7 @@ def pair_scheme(n):
     return QueryScheme(
         n,
         tuple(
-            VertexSet.from_members(n, [u, v])
+            VertexSet.from_members(n, [u, v]).mask
             for u in range(n)
             for v in range(u + 1, n)
         ),
@@ -54,7 +54,7 @@ class TestProfileCount:
 
     def test_query_outside_clique_contributes_factor_one(self):
         desc = clique_family_desc(9, 2)
-        outside_query = QueryScheme(9, (VertexSet.from_members(9, [3, 4, 5]),))
+        outside_query = QueryScheme(9, (0b111000,))
         assert per_query_answer_bound(outside_query, desc) == 1
         report = profile_count(outside_query, clique_members(9, 2), desc)
         assert report.measured["distinct_transcripts"] == 1
@@ -62,11 +62,9 @@ class TestProfileCount:
     @pytest.mark.parametrize("seed", range(10))
     def test_forced_block_refines_bound(self, seed):
         # product bound uses D_Q = 1 whenever the query meets W
-        u = VertexSet.from_members(12, [0])
-        w = VertexSet.from_members(12, [1])
         from misrecon.graphs import AdversarialFamilyDesc
 
-        desc = AdversarialFamilyDesc(n=12, delta=3, clique=u, forced_block=w)
+        desc = AdversarialFamilyDesc(n=12, delta=3, clique=0b01, forced_block=0b10)
         family = list(enumerate_family(desc))
         scheme = random_queries(12, 3, 0.5, seed=seed)
         report = profile_count(scheme, family, desc)
@@ -97,7 +95,7 @@ class TestBestDecoderSuccess:
         scheme = random_queries(8, 6, 0.5, seed=seed)
         rates = [
             best_decoder_success(
-                QueryScheme(8, scheme.queries[:k]), family, desc
+                QueryScheme(8, scheme.masks[:k]), family, desc
             )
             for k in range(len(scheme) + 1)
         ]
@@ -107,14 +105,14 @@ class TestBestDecoderSuccess:
 class TestDqStatistics:
     def test_full_queries_meet_block(self):
         report = dq_statistics(
-            30, 6, lambda s: QueryScheme(30, (VertexSet.full(30),)), 50, seed=1
+            30, 6, lambda s: QueryScheme(30, ((1 << 30) - 1,)), 50, seed=1
         )
         assert report.measured["mean_log_answers"] == 0.0
         assert report.passed
 
     def test_empty_queries_single_answer(self):
         report = dq_statistics(
-            30, 6, lambda s: QueryScheme(30, (VertexSet(30),)), 50, seed=2
+            30, 6, lambda s: QueryScheme(30, (0,)), 50, seed=2
         )
         assert report.measured["mean_log_answers"] == 0.0
         assert report.measured["clique_hit_rate"] == 0.0

@@ -29,7 +29,7 @@ def pair_scheme(n):
     return QueryScheme(
         n,
         tuple(
-            VertexSet.from_members(n, [u, v])
+            VertexSet.from_members(n, [u, v]).mask
             for u in range(n)
             for v in range(u + 1, n)
         ),
@@ -50,7 +50,7 @@ class TestDecode:
 
     def test_single_edge_forced(self):
         g = Graph(2, [(0, 1)])
-        scheme = QueryScheme(2, (VertexSet.full(2),))
+        scheme = QueryScheme(2, (0b11,))
         result = decode(2, run_scheme(g, scheme, GreedyLexPolicy()))
         assert result.graph == g
 
@@ -94,7 +94,7 @@ class TestDecode:
         transcript = run_scheme(g, scheme, GreedyLexPolicy())
 
         def verdicts(k):
-            result = decode(10, Transcript(10, transcript.entries[:k]))
+            result = decode(10, Transcript(10, transcript.masks[:k]))
             table = {}
             for pair in result.edges:
                 table[pair] = "edge"
@@ -121,6 +121,11 @@ class TestConsistencyCheck:
         g = gen_bounded_degree(8, 3, 0.7, seed=2)
         transcript = run_scheme(g, pair_scheme(8), GreedyLexPolicy())
         assert consistency_check(g, transcript)
+
+    def test_other_vertex_count_rejected(self):
+        transcript = run_scheme(path_graph(4), pair_scheme(4), GreedyLexPolicy())
+        with pytest.raises(ValueError):
+            consistency_check(path_graph(5), transcript)
 
     def test_flipping_a_co_answered_pair_breaks_consistency(self):
         g = path_graph(4)

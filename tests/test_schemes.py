@@ -25,7 +25,7 @@ def pair_scheme(n):
     return QueryScheme(
         n,
         tuple(
-            VertexSet.from_members(n, [u, v])
+            VertexSet.from_members(n, [u, v]).mask
             for u in range(n)
             for v in range(u + 1, n)
         ),
@@ -33,13 +33,13 @@ def pair_scheme(n):
 
 
 def singleton_scheme(n):
-    return QueryScheme(n, tuple(VertexSet.from_members(n, [v]) for v in range(n)))
+    return QueryScheme(n, tuple(1 << v for v in range(n)))
 
 
 class TestRandomizedScheme:
     def test_certain_inclusion_gives_full_queries(self):
         scheme = randomized_scheme(10, 2, c=0.5, p=1.0, seed=3)
-        assert all(q == VertexSet.full(10) for q in scheme.queries)
+        assert all(q == (1 << 10) - 1 for q in scheme.masks)
 
     def test_query_count_formula(self):
         scheme = randomized_scheme(100, 4, c=2.0, p=0.2, seed=1)
@@ -119,10 +119,10 @@ class TestIsQueryScheme:
         assert is_query_scheme(pair_scheme(5), 2) is True
 
     def test_single_full_query_fails(self):
-        result = is_query_scheme(QueryScheme(4, (VertexSet.full(4),)), 2)
+        result = is_query_scheme(QueryScheme(4, (0b1111,)), 2)
         assert isinstance(result, SchemeViolation)
         # audit the witness: some MIS is maximal in both induced subgraphs
-        assert common_mis(result.g, result.h, VertexSet.full(4)) is not None
+        assert common_mis(result.g, result.h, 0b1111) is not None
         assert result.g != result.h
 
     def test_empty_scheme_fails_with_trivial_pair(self):
@@ -162,7 +162,7 @@ class TestIsQueryScheme:
         scheme = random_queries(5, 3, 0.4, seed=seed)
         result = is_query_scheme(scheme, 2)
         if isinstance(result, SchemeViolation):
-            for q in scheme.queries:
+            for q in scheme.masks:
                 assert common_mis(result.g, result.h, q) is not None
 
 
@@ -204,14 +204,19 @@ class TestSchemeFiles:
         scheme = QueryScheme(
             5,
             (
-                VertexSet.from_members(5, [0, 4]),
-                VertexSet(5),
-                VertexSet.from_members(5, [1, 2, 3]),
+                VertexSet.from_members(5, [0, 4]).mask,
+                0,
+                VertexSet.from_members(5, [1, 2, 3]).mask,
             ),
         )
         text = scheme.to_text()
         assert QueryScheme.from_text(text) == scheme
         assert QueryScheme.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize("mask", [1 << 5, -1])
+    def test_query_outside_vertices_rejected(self, mask):
+        with pytest.raises(ValueError, match="outside vertices 0..4"):
+            QueryScheme(5, (0b1, mask))
 
     def test_header_shape(self):
         assert pair_scheme(3).to_text().startswith("3 3\n")
