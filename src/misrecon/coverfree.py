@@ -31,6 +31,14 @@ from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits, run_
 
 DEFAULT_CHECK_CAP = int(os.environ.get("MISRECON_CHECK_CAP", 5 * 10**6))
 DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
+# a larger ground set is refused before anything per element is allocated:
+# membership_masks' list, or random_set_family's blocks of up to 16 rows
+GROUND_CAP = 10**6
+
+
+def _check_ground(t: int) -> None:
+    if t > GROUND_CAP:
+        raise CapExceededError(f"ground size {t} exceeds cap {GROUND_CAP}")
 
 
 class CffConstructionError(RuntimeError):
@@ -76,6 +84,7 @@ class SetFamily:
 
     def membership_masks(self) -> list[int]:
         """For each ground element x, the bitmask of set indices containing x."""
+        _check_ground(self.ground_size)
         masks = [0] * self.ground_size
         for i, m in enumerate(self.masks):
             for x in iter_bits(m):
@@ -236,6 +245,7 @@ def random_set_family(
         raise ValueError(
             f"cannot draw {n} distinct sets: a ground set of {t} has 2^{t} subsets"
         )
+    _check_ground(t)
     rng = random.Random(derive_seed(seed))
     masks = bernoulli_rows(rng, n, t, density)
     for _ in range(max_rounds):

@@ -98,10 +98,17 @@ class Graph:
             for v in iter_bits(m):
                 if not masks[v] >> u & 1:
                     raise ValueError(f"edge ({u},{v}) missing from vertex {v}'s mask")
+        delta = max((m.bit_count() for m in masks), default=0)
+        return cls._from_masks(tuple(masks), delta)
+
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...], delta: int) -> "Graph":
+        """The graph of valid adjacency masks with maximum degree delta,
+        unchecked: callers vouch for both."""
         g = cls.__new__(cls)
-        g.n = n
-        g._adj = tuple(masks)
-        g.delta = max((m.bit_count() for m in masks), default=0)
+        g.n = len(masks)
+        g._adj = masks
+        g.delta = delta
         return g
 
     @property
@@ -304,14 +311,27 @@ def enumerate_family(
     size = desc.size()
     if size > cap:
         raise CapExceededError(f"family size {size} exceeds cap {cap}")
-    base = _clique_edges(clique)
-    base.extend((u, w) for u in clique for w in block)
-    per_vertex = list(itertools.combinations(rest, desc.per_clique_free_slots))
+    # U is a clique joined completely to W; each member adds, for every u in
+    # U, its chosen neighbours to adj[u] and u to each chosen adj[v]
+    base = [0] * desc.n
+    for u in clique:
+        base[u] = desc.clique & ~(1 << u) | desc.forced_block
+    for w in block:
+        base[w] = desc.clique
+    per_vertex = [
+        (mask_from_members(chosen), chosen)
+        for chosen in itertools.combinations(rest, desc.per_clique_free_slots)
+    ]
+    # a clique vertex has degree (|U|-1) + |W| + slots = delta, and any
+    # other vertex at most |U| <= delta
+    delta = desc.delta
     for choices in itertools.product(per_vertex, repeat=len(clique)):
-        edges = list(base)
-        for u, chosen in zip(clique, choices):
-            edges.extend((u, v) for v in chosen)
-        yield Graph(desc.n, edges)
+        adj = base.copy()
+        for u, (mask, chosen) in zip(clique, choices):
+            adj[u] |= mask
+            for v in chosen:
+                adj[v] |= 1 << u
+        yield Graph._from_masks(tuple(adj), delta)
 
 
 def enumerate_clique_family(

@@ -52,13 +52,12 @@ def greedy_mis(g: Graph, q: int, order: Sequence[int]) -> int:
 
     `order` is a permutation of 0..n-1 (vertices outside q are skipped).
     """
-    return _greedy_insert(g, q, [v for v in order if q >> v & 1])
-
-
-def _greedy_insert(g: Graph, q: int, members: Iterable[int]) -> int:
-    """greedy_mis over an order that holds only members of q."""
     _check_query(g.n, q)
-    adj = g.adjacency_masks
+    return _greedy_insert(g.adjacency_masks, [v for v in order if q >> v & 1])
+
+
+def _greedy_insert(adj: tuple[int, ...], members: Iterable[int]) -> int:
+    """greedy_mis over an order that holds only members of a checked query."""
     mis = 0
     for v in members:
         if not adj[v] & mis:
@@ -72,22 +71,33 @@ def random_mis(g: Graph, q: int, seed: int) -> int:
     An edgeless G[Q] has Q as its only MIS, so it is answered without seeding
     a generator; each query's generator is private, so no other answer moves.
     """
-    return _shuffled_greedy(g, q, lambda: random.Random(seed))
-
-
-def _shuffled_greedy(g: Graph, q: int, seeded: Callable[[], random.Random]) -> int:
-    """Q if G[Q] is edgeless, else greedy over q shuffled by the seeded() generator."""
     _check_query(g.n, q)
-    adj = g.adjacency_masks
+    return _shuffled_greedy(g.adjacency_masks, q, random.Random, seed)
+
+
+def _shuffled_greedy(
+    adj: tuple[int, ...], q: int, seeded: Callable[[int], random.Random], key: int
+) -> int:
+    """Q if G[Q] is edgeless, else greedy over the members of the checked
+    query q, shuffled by the generator seeded(key)."""
+    # iter_bits inlined twice: most queries of an exhaustive sweep end in
+    # the first loop, and every random-MIS answer passes through here
     rest = q
-    while rest:  # iter_bits inlined: most queries of an exhaustive sweep end here
+    while rest:
         low = rest & -rest
         if adj[low.bit_length() - 1] & q:
-            members = list(iter_bits(q))
-            shuffle(seeded(), members)
-            return _greedy_insert(g, q, members)
+            break
         rest ^= low
-    return q
+    else:
+        return q
+    members = []
+    rest = q
+    while rest:
+        low = rest & -rest
+        members.append(low.bit_length() - 1)
+        rest ^= low
+    shuffle(seeded(key), members)
+    return _greedy_insert(adj, members)
 
 
 def adversarial_clique_answer(g: Graph, desc: AdversarialFamilyDesc, q: int) -> int:
@@ -115,7 +125,8 @@ class GreedyLexPolicy:
     index_free = True
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        return _greedy_insert(g, q, iter_bits(q))
+        _check_query(g.n, q)
+        return _greedy_insert(g.adjacency_masks, iter_bits(q))
 
 
 class GreedyOrderPolicy:
@@ -141,7 +152,8 @@ class RandomMisPolicy:
         self._rng: random.Random | None = None
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        return _shuffled_greedy(g, q, lambda: self._reseeded(index))
+        _check_query(g.n, q)
+        return _shuffled_greedy(g.adjacency_masks, q, self._reseeded, index)
 
     def _reseeded(self, index: int) -> random.Random:
         seed = derive_seed(self.seed, index)
@@ -181,7 +193,8 @@ class Transcript:
     masks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for q, a in self.masks:
+        # a scheme repeats queries, so each distinct pair is checked once
+        for q, a in dict.fromkeys(self.masks):
             _check_query(self.n, q)
             if a & ~q:
                 raise ValueError("answer not contained in its query")
@@ -215,8 +228,10 @@ class Transcript:
                 if not all(type(v) is int for v in (*q, *a)):
                     raise TypeError("transcript members must be integers")
                 pair = tuple(VertexSet.from_members(n, s).mask for s in (q, a))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"bad transcript line: {ln!r}") from exc
+                if pair[1] & ~pair[0]:
+                    raise ValueError("answer not contained in its query")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"bad transcript line: {ln!r} ({exc})") from exc
             pairs.append(pair)
         return cls(n, tuple(pairs))
 
@@ -228,23 +243,26 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     MIS contract raises OracleError at the first index where it does. The
     check runs once per distinct (query, answer) pair. A policy whose class
     sets `index_free = True` answers from (g, q) alone and is asked once per
-    distinct query; any other policy is asked about every index.
+    distinct query, at its first index; any other policy is asked about
+    every index.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
-    answers = {} if getattr(policy, "index_free", False) else None
+    masks = scheme.masks
+    if getattr(policy, "index_free", False):
+        answers = {}
+        for index, q in enumerate(masks):
+            if q not in answers:
+                a = answers[q] = policy.answer(g, q, index)
+                if not is_mis(g, q, a):
+                    raise OracleError(f"policy answer for query {index} is not an MIS")
+        return Transcript(g.n, tuple([(q, answers[q]) for q in masks]))
     verified = set()
     pairs = []
-    for index, q in enumerate(scheme.masks):
-        if answers is None:
-            a = policy.answer(g, q, index)
-        else:
-            a = answers.get(q)
-            if a is None:
-                a = answers[q] = policy.answer(g, q, index)
-        key = (q, a)
+    for index, q in enumerate(masks):
+        key = (q, policy.answer(g, q, index))
         if key not in verified:
-            if not is_mis(g, q, a):
+            if not is_mis(g, q, key[1]):
                 raise OracleError(f"policy answer for query {index} is not an MIS")
             verified.add(key)
         pairs.append(key)

@@ -51,8 +51,9 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence."""
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
-    # co-occurrence is a union over masks, so each distinct mask is unpacked once
-    pairs = transcript.masks
+    # co-occurrence is a union over masks, so each distinct mask is unpacked
+    # once; a scheme repeats queries, so the pairs are deduped first
+    pairs = dict.fromkeys(transcript.masks)
     queried = _co_occurs(n, list(dict.fromkeys(q for q, _ in pairs)))
     answered = _co_occurs(n, list(dict.fromkeys(a for _, a in pairs)))
     # a co-answered pair is a certified non-edge; of the other pairs u < v,

@@ -263,6 +263,26 @@ class TestExperimentDispatch:
         assert code == 2
         assert err == f"error: {message}\n" and not stdout
 
+    @pytest.mark.parametrize("name", ["lemma7", "lemma8"])
+    @pytest.mark.parametrize("source", ["file", "random"])
+    def test_ground_over_cap_is_refused_up_front(self, name, source, tmp_path, capsys):
+        # uncapped, the file's header ends in MemoryError and the draw in OverflowError
+        size = 10**12
+        if source == "file":
+            family_path = tmp_path / "family.txt"
+            family_path.write_text(f"{size} 2\n0\n1\n")
+            flags = ["--family", str(family_path)]
+        else:
+            flags = ["--sets", "3", "--ground", str(size)]
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["experiment", name, *flags, "--w", "1", "--r", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 3 and not stdout
+        assert err == f"capacity exceeded: ground size {size} exceeds cap 1000000\n"
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from misrecon.coverfree import (
+    GROUND_CAP,
     CffConstructionError,
     CffParams,
     CoverViolation,
@@ -235,6 +236,16 @@ class TestRandomCff:
         # 3 distinct subsets of a 1-element ground set do not exist
         with pytest.raises((CffConstructionError, ValueError)):
             random_set_family(3, 1, 0.5, seed=0)
+
+    def test_ground_over_cap_refused_before_drawing(self):
+        with pytest.raises(CapExceededError, match=f"ground size {GROUND_CAP + 1} "):
+            random_set_family(3, GROUND_CAP + 1, 0.5, seed=0)
+        # a family that large may exist, but its per-element view is refused
+        f = SetFamily(GROUND_CAP + 1, (1, 2))
+        for per_element in (f.membership_masks, lambda: dual(f)):
+            with pytest.raises(CapExceededError, match=f"exceeds cap {GROUND_CAP}$"):
+                per_element()
+        assert len(SetFamily(GROUND_CAP, (1, 2)).membership_masks()) == GROUND_CAP
 
 
 def sperner_minimal_ground(n):

@@ -365,15 +365,16 @@ def graph_and_policy(draw):
 
 
 class CountingLexPolicy:
-    """Greedy-lex that counts its calls and declares itself index-free."""
+    """Greedy-lex that records each (query, index) it is asked about and
+    declares itself index-free."""
 
     index_free = True
 
     def __init__(self):
-        self.calls = 0
+        self.asked = []
 
     def answer(self, g, q, index):
-        self.calls += 1
+        self.asked.append((q, index))
         return GreedyLexPolicy().answer(g, q, index)
 
 
@@ -417,7 +418,9 @@ class TestRunSchemeMemo:
         policy = CountingLexPolicy()
         transcript = run_scheme(g, scheme, policy)
         assert transcript == ref.run_scheme(g, scheme, GreedyLexPolicy())
-        assert policy.calls == len(set(scheme.masks))
+        # once per distinct query, in order of first index and with that index
+        masks = scheme.masks
+        assert policy.asked == [(q, masks.index(q)) for q in dict.fromkeys(masks)]
 
     @pytest.mark.parametrize("policy", [GreedyLexPolicy(), RandomMisPolicy(3)])
     def test_each_distinct_pair_is_checked_once(self, policy, monkeypatch):
@@ -638,6 +641,17 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
+def _validated(members):
+    """(member, max degree) of each member, after checking that
+    Graph.from_adjacency_masks accepts its masks and rebuilds it exactly."""
+    out = []
+    for g in members:
+        again = Graph.from_adjacency_masks(g.adjacency_masks)
+        assert (again, again.delta, again.n) == (g, g.delta, g.n)
+        out.append((g, g.delta))
+    return out
+
+
 @st.composite
 def blocked_parts(draw, max_n=9):
     """Disjoint (U, W) of the blocked family's sizes, on n up to max_n
@@ -672,8 +686,10 @@ class TestHiddenCliqueFamilies:
     def test_plain_enumeration_equals_reference_in_order(self, n):
         for delta in range(-1, 10):
             fast = outcome(lib_graphs.enumerate_clique_family, n, delta)
-            assert fast == outcome(ref.enumerate_clique_family, n, delta), delta
+            want = outcome(ref.enumerate_clique_family, n, delta)
+            assert fast == want, delta
             if n > delta >= 1:
+                assert _validated(fast) == [(g, g.delta) for g in want]
                 assert lib_graphs.clique_family_size(n, delta) == len(fast)
                 assert len(fast) == ref.clique_family_size(n, delta)
 
@@ -685,7 +701,10 @@ class TestHiddenCliqueFamilies:
             n=n, delta=delta, clique=clique, forced_block=block
         )
         fast = outcome(lib_graphs.enumerate_family, desc)
-        assert fast == outcome(ref.enumerate_blocked_clique_family, n, delta, clique, block)
+        want = outcome(ref.enumerate_blocked_clique_family, n, delta, clique, block)
+        assert fast == want
+        if isinstance(want, list):
+            assert _validated(fast) == [(g, g.delta) for g in want]
 
     def test_enumeration_cap_equals_reference(self):
         with pytest.raises(CapExceededError) as fast:

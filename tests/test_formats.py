@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misrecon.cli import main
-from misrecon.coverfree import SetFamily
+from misrecon.coverfree import GROUND_CAP, SetFamily
 from misrecon.graphs import Graph, graph_from_text, graph_to_text
 from misrecon.oracle import Transcript
 from misrecon.reconstruct import (
@@ -118,12 +118,15 @@ class TestRoundTrip:
 # free text holds no decimal digits, so only the drawn headers and tokens
 # below can name a size. A first header number of 14 or more has over 10^6
 # matchings, which the duality check refuses before it enumerates graphs;
-# 7 to 13 is left out, as it would enumerate up to 568,504 of them.
+# 7 to 13 is left out, as it would enumerate up to 568,504 of them. A set
+# family over more than GROUND_CAP elements is refused before anything per
+# element is allocated, so huge headers are drawn too.
 _free = st.text(st.characters(blacklist_categories=("Nd",)), max_size=30)
 _token = st.one_of(st.integers(-3, 9).map(str), _free)
 _line = st.lists(_token, max_size=4).map(" ".join)
+_huge = st.integers(GROUND_CAP + 1, 10**15)
 _header = st.tuples(
-    st.one_of(st.integers(-3, 6), st.integers(14, 120)), st.integers(-2, 6)
+    st.one_of(st.integers(-3, 6), st.integers(14, 120), _huge), st.integers(-2, 6)
 ).map(lambda h: f"{h[0]} {h[1]}")
 files = st.one_of(
     _free,
@@ -160,6 +163,18 @@ class TestArbitraryFiles:
     @example("scheme", "99 0\n")
     def test_never_an_internal_error(self, kind, text):
         assert _exit_code(kind, text) in (0, 1, 2, 3)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        _huge,
+        st.lists(st.frozensets(st.integers(0, 9), max_size=3), min_size=2,
+                 max_size=5, unique=True),
+    )
+    def test_family_over_ground_cap_exits_three(self, size, sets):
+        # distinct sets, at least w + r = 2 of them: only the size is wrong
+        lines = [" ".join(map(str, sorted(s))) for s in sets]
+        text = "\n".join([f"{size} {len(sets)}", *lines]) + "\n"
+        assert _exit_code("family", text) == 3
 
     def test_repeated_edge_line_exits_two(self):
         # the header counts two edges; the one edge twice is not two edges

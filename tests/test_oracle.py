@@ -9,6 +9,7 @@ from misrecon.oracle import (
     AdversarialCliquePolicy,
     GreedyLexPolicy,
     GreedyOrderPolicy,
+    OracleError,
     RandomMisPolicy,
     Transcript,
     adversarial_clique_answer,
@@ -177,6 +178,20 @@ class TestRunScheme:
             with pytest.raises(ValueError, match="outside vertices 0..8"):
                 call()
 
+    @pytest.mark.parametrize("index_free", [True, False])
+    def test_wrong_answer_raises_at_its_first_index(self, index_free):
+        g = path_graph(4)
+        # 0b0011 is an edge, so its whole query is no MIS; it first comes at 2
+        scheme = QueryScheme(4, (0b0100, 0b1000, 0b0011, 0b0001, 0b0011))
+
+        class WholeQuery:
+            def answer(self, g, q, index):
+                return q
+
+        WholeQuery.index_free = index_free
+        with pytest.raises(OracleError, match="query 2 is not an MIS"):
+            run_scheme(g, scheme, WholeQuery())
+
     def test_policy_descriptor_mismatch_rejected(self):
         _, desc = sample_clique_family(9, 2, seed=0)
         g = Graph.empty(8)
@@ -189,6 +204,26 @@ class TestTranscript:
     def test_answer_within_query_enforced(self):
         with pytest.raises(ValueError):
             Transcript(4, ((vs(4, 0), vs(4, 1)),))
+
+    @pytest.mark.parametrize("bad", [(0b0011, 0b0100), (1 << 4, 0), (-1, 0)])
+    def test_repeated_bad_pair_rejected(self, bad):
+        good = (0b0011, 0b0001)
+        for masks in ((good, bad, bad), (bad, good, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                Transcript(4, masks)
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ('{"query":[0,7],"answer":[0]}', "member 7 outside universe of size 4"),
+            ('{"query":[0,1],"answer":[2]}', "answer not contained in its query"),
+        ],
+    )
+    def test_bad_line_named(self, line, reason):
+        text = '{"query":[0,1],"answer":[0]}\n' + line + "\n"
+        with pytest.raises(ValueError, match="bad transcript line") as info:
+            Transcript.from_text(4, text)
+        assert line in str(info.value) and reason in str(info.value)
 
     def test_text_round_trip(self):
         g = gen_bounded_degree(10, 3, 0.5, seed=5)
