@@ -1,8 +1,9 @@
 """Command-line front door for generators, oracles, schemes, and experiments.
 
-All randomness flows from the mandatory --seed flag, and report output
-carries no timestamps, so identical invocations produce byte-identical
-files; --threads is accepted for compatibility and changes nothing.
+Each command and experiment takes exactly the flags of its table row. All
+randomness flows from --seed, and report output carries no timestamps, so
+identical invocations produce byte-identical files; the seeded trial
+experiments accept --threads for compatibility, and it changes nothing.
 
 Exit codes: 0 success / all asserted bounds pass, 1 bound violation,
 2 usage or parameter error, 3 enumeration or check capacity exceeded,
@@ -101,6 +102,8 @@ def _build_scheme(args, n: int, delta: int) -> QueryScheme:
 def cmd_reconstruct(args) -> int:
     if args.graph is not None:
         truth = graph_from_text(Path(args.graph).read_text(), n=args.n)
+        if truth.delta > args.delta:
+            raise ValueError(f"graph has maximum degree {truth.delta} > --delta {args.delta}")
     else:
         truth = _generate_graph(args)
     scheme = _build_scheme(args, truth.n, args.delta)
@@ -131,13 +134,6 @@ def _load_or_random_family(args) -> SetFamily:
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _require(args, names):
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{m.replace('_', '-')}" for m in missing)
-        raise ValueError(f"experiment {args.name} requires {flags}")
 
 
 def _alpha_bound(args) -> ExperimentReport:
@@ -179,8 +175,7 @@ def _bound_table(args) -> ExperimentReport:
 
 
 def _profile_count(args) -> ExperimentReport:
-    p = args.p if args.p is not None else 0.5
-    scheme = random_queries(args.n, args.queries, p, derive_seed(args.seed, 1))
+    scheme = random_queries(args.n, args.queries, args.p, derive_seed(args.seed, 1))
     desc = clique_family_desc(args.n, args.delta)
     family = enumerate_clique_family(args.n, args.delta, cap=args.enum_cap)
     return lowerbounds.profile_count(scheme, family, desc)
@@ -197,15 +192,17 @@ def _dq_stats(args) -> ExperimentReport:
     )
 
 
-def _on_set_family(experiment):
-    """Handler that runs a seeded coverfree experiment on --family or a random one."""
+def _lemma7(args) -> ExperimentReport:
+    return coverfree.survivor_count_experiment(
+        _load_or_random_family(args), CffParams(args.w, args.r), args.trials, args.seed
+    )
 
-    def run(args) -> ExperimentReport:
-        family = _load_or_random_family(args)
-        params = CffParams(args.w, args.r, args.s)
-        return experiment(family, params, args.trials, args.seed)
 
-    return run
+def _lemma8(args) -> ExperimentReport:
+    return coverfree.cover_witness_search(
+        _load_or_random_family(args), CffParams(args.w, args.r, args.s), args.trials,
+        args.seed,
+    )
 
 
 def _duality(args) -> ExperimentReport:
@@ -216,8 +213,7 @@ def _duality(args) -> ExperimentReport:
             raise ValueError("random scheme needs --seed")
         if args.n is None:
             raise ValueError("random scheme needs --n")
-        p = args.p if args.p is not None else 0.5
-        scheme = random_queries(args.n, args.queries, p, args.seed)
+        scheme = random_queries(args.n, args.queries, args.p, args.seed)
     dreport = duality_check(scheme, args.delta)
     return ExperimentReport(
         name="scheme-cff-duality",
@@ -242,25 +238,72 @@ def _duality(args) -> ExperimentReport:
     )
 
 
-# name -> (required flags, handler), in the order `experiment --help` lists
-# them; main rejects a missing --seed through the parser before any other flag
+REQUIRED = object()  # the row default of a flag that must be given
+
+# add_argument keywords of each flag, for every row that names it; a flag
+# not listed takes a string, and build_parser sets --family per table
+_FLAGS = {
+    **{f: {"type": int} for f in ("n", "delta", "seed", "w", "r", "s", "t-max", "grid",
+                                  "queries", "trials", "sets", "ground", "enum-cap")},
+    **{f: {"type": float} for f in ("density", "c", "p")},
+    **{f: {"action": "store_true"} for f in ("json", "complete-as-nonedge")},
+    "threads": {"type": int, "help": "accepted for compatibility; trials run in one thread"},
+    "graph": {"help": "graph file; omit to generate"},
+    "scheme": {"help": "scheme file; omit to build one"},
+    "scheme-kind": {"choices": ["randomized", "cff"]},
+    "policy": {"choices": ["greedy-lex", "random"]},
+    "variant": {"choices": list(_FAMILY_TOKENS)},
+}
+
+# the graph that generate writes and reconstruct recovers, unless --graph names one
+_GRAPH = {"family": "random", "n": REQUIRED, "delta": REQUIRED, "density": None,
+          "seed": REQUIRED, "out": None}
+
+# name -> (help, handler, {flag: default or REQUIRED})
+_COMMANDS = {
+    "generate": ("write a graph file", cmd_generate, {**_GRAPH, "family": REQUIRED}),
+    "reconstruct": ("run scheme + oracle + decoder", cmd_reconstruct, {
+        **_GRAPH, "graph": None, "scheme": None, "scheme-kind": "cff", "c": 2.0, "p": None,
+        "policy": "greedy-lex", "transcript-out": None, "complete-as-nonedge": False}),
+}
+
+# every experiment prints its report, or writes it to --out, as text or JSON
+_REPORT = {"json": False, "out": None}
+_SET_FAMILY = {"family": None, "sets": None, "ground": None, "density": 0.5, "w": REQUIRED,
+               "r": REQUIRED, "trials": 1000, "seed": REQUIRED, "threads": 1, **_REPORT}
+
+# name -> (help, report builder, {flag: default or REQUIRED}), in the order
+# `experiment --help` lists them
 _EXPERIMENTS = {
-    "profile-count": (("seed", "n", "delta", "queries"), _profile_count),
-    "dq-stats": (("seed", "n", "delta"), _dq_stats),
-    "family-count": (("n", "delta"), _family_count),
-    "lemma7": (("seed", "w", "r"), _on_set_family(coverfree.survivor_count_experiment)),
-    "lemma8": (("seed", "w", "r"), _on_set_family(coverfree.cover_witness_search)),
-    "alpha-bound": (("w", "r"), _alpha_bound),
-    "duality": (("delta",), _duality),
-    "exact-t": (("n", "w", "r"), _exact_t),
-    "bound-table": ((), _bound_table),
+    "profile-count": ("transcripts over a hidden-clique family", _profile_count, {
+        "n": REQUIRED, "delta": REQUIRED, "queries": 1, "p": 0.5, "seed": REQUIRED,
+        "threads": 1, "enum-cap": DEFAULT_ENUM_CAP, **_REPORT}),
+    "dq-stats": ("answer counts for random hidden cliques", _dq_stats, {
+        "n": REQUIRED, "delta": REQUIRED, "queries": 1, "p": None, "trials": 1000,
+        "seed": REQUIRED, "threads": 1, **_REPORT}),
+    "family-count": ("hidden-clique family-count chain", _family_count,
+                     {"n": REQUIRED, "delta": REQUIRED, "variant": "thm2", **_REPORT}),
+    "lemma7": ("survivor counts of sampled draws", _lemma7, _SET_FAMILY),
+    "lemma8": ("cover witnesses of sampled draws", _lemma8, {**_SET_FAMILY, "s": 1}),
+    "alpha-bound": ("grid check of the a^w (1-a)^r peak", _alpha_bound,
+                    {"w": REQUIRED, "r": REQUIRED, "grid": 100_000, **_REPORT}),
+    "duality": ("query scheme against its dual cover-free family", _duality, {
+        "n": None, "delta": REQUIRED, "scheme": None, "queries": 1, "p": 0.5, "seed": None,
+        **_REPORT}),
+    "exact-t": ("exact minimal cover-free ground size", _exact_t,
+                {"n": REQUIRED, "w": REQUIRED, "r": REQUIRED, "t-max": 6, **_REPORT}),
+    "bound-table": ("raw query-count formulas", _bound_table, {
+        "n-list": "6,9,12,15", "delta-list": "1,2,3,4", "emit-csv": None, **_REPORT}),
 }
 
 
-def cmd_experiment(args) -> int:
-    required, run = _EXPERIMENTS[args.name]
-    _require(args, required)
-    return _emit_report(run(args), args)
+def _add_rows(sub, rows, flags) -> None:
+    """One subparser per row, taking exactly the row's flags."""
+    for name, (help_text, _, defaults) in rows.items():
+        row = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, default in defaults.items():
+            given = {"required": True} if default is REQUIRED else {"default": default}
+            row.add_argument(f"--{flag}", **given, **flags.get(flag, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,74 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
         "schemes, decoding, and counting experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a graph file")
-    gen.add_argument("--family", choices=["random", *_FAMILY_SAMPLERS], required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--delta", type=int, required=True)
-    gen.add_argument("--density", type=float, default=None)
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_generate)
-
-    rec = sub.add_parser("reconstruct", help="run scheme + oracle + decoder")
-    rec.add_argument("--n", type=int, required=True)
-    rec.add_argument("--delta", type=int, required=True)
-    rec.add_argument("--graph", default=None, help="graph file; omit to generate")
-    rec.add_argument("--family", choices=["random", *_FAMILY_SAMPLERS], default="random")
-    rec.add_argument("--density", type=float, default=None)
-    rec.add_argument("--scheme", default=None, help="scheme file; omit to build one")
-    rec.add_argument("--scheme-kind", choices=["randomized", "cff"], default="cff")
-    rec.add_argument("--c", type=float, default=2.0)
-    rec.add_argument("--p", type=float, default=None)
-    rec.add_argument("--policy", default="greedy-lex",
-                     choices=["greedy-lex", "random"])
-    rec.add_argument("--seed", type=int, required=True)
-    rec.add_argument("--out", default=None)
-    rec.add_argument("--transcript-out", default=None)
-    rec.add_argument("--complete-as-nonedge", action="store_true")
-    rec.set_defaults(func=cmd_reconstruct)
-
+    family = {"choices": ["random", *_FAMILY_SAMPLERS]}
+    _add_rows(sub, _COMMANDS, {**_FLAGS, "family": family})
     exp = sub.add_parser("experiment", help="run a named experiment")
-    exp.add_argument("name", choices=list(_EXPERIMENTS))
-    exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--delta", type=int, default=None)
-    exp.add_argument("--variant", choices=["thm2", "thm3"], default="thm2")
-    exp.add_argument("--w", type=int, default=None)
-    exp.add_argument("--r", type=int, default=None)
-    exp.add_argument("--s", type=int, default=1)
-    exp.add_argument("--t-max", type=int, default=6)
-    exp.add_argument("--grid", type=int, default=100_000)
-    exp.add_argument("--queries", type=int, default=1)
-    exp.add_argument("--p", type=float, default=None)
-    exp.add_argument("--trials", type=int, default=1000)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; trials run in one thread")
-    exp.add_argument("--family", default=None, help="set-family file")
-    exp.add_argument("--sets", type=int, default=None)
-    exp.add_argument("--ground", type=int, default=None)
-    exp.add_argument("--density", type=float, default=0.5)
-    exp.add_argument("--scheme", default=None)
-    exp.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    exp.add_argument("--n-list", default="6,9,12,15")
-    exp.add_argument("--delta-list", default="1,2,3,4")
-    exp.add_argument("--emit-csv", default=None)
-    exp.add_argument("--json", action="store_true")
-    exp.add_argument("--out", default=None)
-    exp.set_defaults(func=cmd_experiment)
-
+    _add_rows(exp.add_subparsers(dest="name", required=True), _EXPERIMENTS,
+              {**_FLAGS, "family": {"help": "set-family file"}})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "experiment" and args.seed is None:
-        if "seed" in _EXPERIMENTS[args.name][0]:
-            parser.error(f"experiment {args.name} requires --seed")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "experiment":
+            return _emit_report(_EXPERIMENTS[args.name][1](args), args)
+        return _COMMANDS[args.command][1](args)
     except CapExceededError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -34,6 +34,8 @@ DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
 # a larger ground set is refused before anything per element is allocated:
 # membership_masks' list, or random_set_family's blocks of up to 16 rows
 GROUND_CAP = 10**6
+# a finer alpha grid is refused before np.linspace allocates 8 bytes a point
+GRID_CAP = 10**6
 
 
 def _check_ground(t: int) -> None:
@@ -308,6 +310,8 @@ def alpha_product_bound(w: int, r: int, grid_size: int) -> float:
         raise ValueError("need w, r >= 1")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    if grid_size > GRID_CAP:
+        raise CapExceededError(f"grid size {grid_size} exceeds cap {GRID_CAP}")
     alpha = np.linspace(0.0, 1.0, grid_size)
     values = alpha**w * (1.0 - alpha) ** r
     peak = (w / (w + r)) ** w * (r / (w + r)) ** r

@@ -237,19 +237,27 @@ def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def _clique_edges(members: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+def _member_base(desc: AdversarialFamilyDesc) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """U and V \\ (U | W) in ascending order, and the adjacency masks every
+    member shares: U as a clique joined completely to W."""
+    clique, block, rest = desc.parts()
+    base = [0] * desc.n
+    for u in clique:
+        base[u] = desc.clique & ~(1 << u) | desc.forced_block
+    for w in block:
+        base[w] = desc.clique
+    return clique, rest, base
 
 
 def _family_member(desc: AdversarialFamilyDesc, rng: random.Random) -> Graph:
-    """U as a clique joined completely to W, and each u in U, in ascending
-    order, joined to rng.sample(V \\ (U | W), slots)."""
-    clique, block, rest = desc.parts()
-    edges = _clique_edges(clique)
-    edges.extend((u, w) for u in clique for w in block)
+    """The shared base, and each u in U, in ascending order, joined to
+    rng.sample(V \\ (U | W), slots); every u in U has degree delta."""
+    clique, rest, adj = _member_base(desc)
     for u in clique:
-        edges.extend((u, v) for v in rng.sample(rest, desc.per_clique_free_slots))
-    return Graph(desc.n, edges)
+        for v in rng.sample(rest, desc.per_clique_free_slots):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph._from_masks(tuple(adj), desc.delta)
 
 
 def sample_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, AdversarialFamilyDesc]:
@@ -307,17 +315,12 @@ def enumerate_family(
     ascending, of their slot choices; enumeration is refused when the member
     count exceeds cap.
     """
-    clique, block, rest = desc.parts()
     size = desc.size()
     if size > cap:
         raise CapExceededError(f"family size {size} exceeds cap {cap}")
-    # U is a clique joined completely to W; each member adds, for every u in
-    # U, its chosen neighbours to adj[u] and u to each chosen adj[v]
-    base = [0] * desc.n
-    for u in clique:
-        base[u] = desc.clique & ~(1 << u) | desc.forced_block
-    for w in block:
-        base[w] = desc.clique
+    # each member adds, for every u in U, its chosen neighbours to adj[u] and
+    # u to each chosen adj[v]
+    clique, rest, base = _member_base(desc)
     per_vertex = [
         (mask_from_members(chosen), chosen)
         for chosen in itertools.combinations(rest, desc.per_clique_free_slots)

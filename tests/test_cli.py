@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, file outputs, and reproducibility."""
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -164,9 +165,10 @@ class TestExperimentDispatch:
         assert "capacity exceeded" in err
 
     def test_missing_required_flag_exits_two(self, capsys):
-        code, _, err = run_cli(["experiment", "alpha-bound", "--w", "2"], capsys)
-        assert code == 2
-        assert "--r" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "alpha-bound", "--w", "2"])
+        assert exc.value.code == 2
+        assert "error: the following arguments are required: --r\n" in capsys.readouterr().err
 
     def test_missing_seed_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -312,6 +314,9 @@ class TestExperimentDispatch:
             ("5 1\n0 x\n", "bad edge line: '0 x'"),
             # its header says 2 edges; read as a set, it would be a one-edge graph
             ("5 2\n0 1\n0 1\n", "repeated edge line: '0 1'"),
+            # a star is no graph of maximum degree 1: reading it as one used
+            # to print a verdict
+            ("5 4\n0 1\n0 2\n0 3\n0 4\n", "graph has maximum degree 4 > --delta 1"),
         ],
     )
     def test_bad_graph_file_exits_two(self, text, message, tmp_path, capsys):
@@ -324,6 +329,17 @@ class TestExperimentDispatch:
         )
         assert code == 2
         assert err == f"error: {message}\n" and not stdout
+
+    def test_grid_over_cap_is_refused_up_front(self, capsys):
+        # uncapped, np.linspace asks for 7.45 GiB
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["experiment", "alpha-bound", "--w", "2", "--r", "10", "--grid", "1000000000"],
+            capsys,
+        )
+        assert code == 3 and not stdout
+        assert err == "capacity exceeded: grid size 1000000000 exceeds cap 1000000\n"
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", ["12", "30", "46"])
     def test_enumeration_over_cap_is_refused_up_front(self, n, capsys):
@@ -347,29 +363,24 @@ class TestExperimentDispatch:
 
     @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
     def test_each_experiment_names_its_missing_flags(self, name, capsys):
-        required, _ = cli._EXPERIMENTS[name]
-        argv = ["experiment", name]
-        if "seed" in required:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"error: experiment {name} requires --seed\n" in err
-            argv += ["--seed", "1"]
-        defaults = cli.build_parser().parse_args(argv)
-        missing = [f for f in required if getattr(defaults, f) is None]
-        if not missing:
+        _, _, flags = cli._EXPERIMENTS[name]
+        required = [f"--{f}" for f, default in flags.items() if default is cli.REQUIRED]
+        if not required:
             return
-        code, stdout, err = run_cli(argv, capsys)
-        assert code == 2 and not stdout
-        flags = ", ".join(f"--{f.replace('_', '-')}" for f in missing)
-        assert err == f"error: experiment {name} requires {flags}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", name])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.endswith(
+            f"error: the following arguments are required: {', '.join(required)}\n"
+        )
 
     def test_unexpected_exception_exits_four(self, monkeypatch, capsys):
         def broken(args):
             raise RuntimeError("handler bug")
 
-        monkeypatch.setattr(cli, "cmd_generate", broken)
+        monkeypatch.setattr(cli, "_generate_graph", broken)
         code, stdout, err = run_cli(
             ["generate", "--family", "random", "--n", "4", "--delta", "1",
              "--seed", "1"],
@@ -409,6 +420,86 @@ class TestExperimentDispatch:
         )
         assert code == 0
         assert csv_path.read_text().startswith("n,delta,clamped")
+
+
+# (argv prefix, {flag: default or REQUIRED}) of every row of the CLI table
+ROWS = [([name], flags) for name, (_, _, flags) in cli._COMMANDS.items()] + [
+    (["experiment", name], flags) for name, (_, _, flags) in cli._EXPERIMENTS.items()
+]
+ROW_IDS = [" ".join(prefix) for prefix, _ in ROWS]
+ALL_FLAGS = sorted({flag for _, flags in ROWS for flag in flags})
+
+
+class TestTable:
+    @pytest.mark.parametrize("prefix, flags", ROWS, ids=ROW_IDS)
+    def test_help_lists_exactly_the_row_flags(self, prefix, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *(f"--{flag}" for flag in flags)}
+
+    @pytest.mark.parametrize("prefix, flags", ROWS, ids=ROW_IDS)
+    def test_flag_from_another_row_exits_two(self, prefix, flags, capsys):
+        argv = list(prefix)
+        for flag, default in flags.items():
+            if default is cli.REQUIRED:
+                argv += [f"--{flag}", "random" if flag == "family" else "1"]
+        # --n would abbreviate bound-table's --n-list if abbreviations were allowed
+        for flag in ALL_FLAGS:
+            if flag not in flags:
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, f"--{flag}", "1"])
+                assert exc.value.code == 2
+                assert f"error: unrecognized arguments: --{flag} 1\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--family", "random", "--n", "6", "--delta", "2", "--seed", "1"],
+            ["generate", "--family", "thm2", "--n", "6", "--delta", "2", "--seed", "1"],
+            ["generate", "--family", "thm3", "--n", "8", "--delta", "3", "--seed", "1"],
+            ["reconstruct", "--n", "5", "--delta", "2", "--seed", "1", "--graph", "{graph}",
+             "--scheme", "{scheme5}", "--complete-as-nonedge"],
+            ["reconstruct", "--n", "8", "--delta", "3", "--family", "thm3", "--seed", "1",
+             "--scheme-kind", "randomized", "--p", "0.3", "--policy", "random",
+             "--transcript-out", "{out}"],
+            ["experiment", "profile-count", "--n", "6", "--delta", "2", "--seed", "1"],
+            ["experiment", "dq-stats", "--n", "12", "--delta", "3", "--trials", "5",
+             "--seed", "1"],
+            ["experiment", "family-count", "--n", "12", "--delta", "4", "--variant", "thm3"],
+            ["experiment", "lemma7", "--family", "{family}", "--w", "1", "--r", "1",
+             "--trials", "5", "--seed", "1"],
+            ["experiment", "lemma7", "--sets", "4", "--ground", "6", "--w", "1", "--r", "1",
+             "--trials", "5", "--seed", "1"],
+            ["experiment", "lemma8", "--family", "{family}", "--w", "1", "--r", "1",
+             "--s", "2", "--trials", "5", "--seed", "1"],
+            ["experiment", "lemma8", "--sets", "4", "--ground", "6", "--w", "1", "--r", "1",
+             "--trials", "5", "--seed", "1"],
+            ["experiment", "alpha-bound", "--w", "1", "--r", "1", "--grid", "11"],
+            ["experiment", "duality", "--delta", "1", "--scheme", "{scheme4}"],
+            ["experiment", "duality", "--n", "4", "--delta", "1", "--queries", "3",
+             "--seed", "1"],
+            ["experiment", "exact-t", "--n", "3", "--w", "1", "--r", "1"],
+            ["experiment", "bound-table", "--emit-csv", "{out}"],
+            ["experiment", "bound-table", "--n-list", "6", "--delta-list", "2", "--json"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_every_handler_branch_runs(self, argv, tmp_path, capsys):
+        # a handler that read a flag outside its row would end in exit 4
+        files = {
+            "graph": "5 2\n0 1\n2 3\n",
+            "scheme5": "5 3\n0 1 2\n2 3 4\n0 4\n",
+            "scheme4": "4 2\n0 1\n2 3\n",
+            "family": "4 4\n0\n1\n2\n3\n",
+        }
+        paths = {"out": str(tmp_path / "out")}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            paths[name] = str(tmp_path / name)
+        code, _, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        assert code in (0, 1), err
 
 
 class TestDeterminism:
@@ -463,11 +554,8 @@ class TestReadmeExamples:
         lines = _readme_cli_lines()
         assert lines
         for argv in lines:
-            args = cli.build_parser().parse_args(argv[1:])
-            if args.command == "experiment":
-                required, _ = cli._EXPERIMENTS[args.name]
-                missing = [f for f in required if getattr(args, f) is None]
-                assert not missing, (argv, missing)
+            # refuses, by SystemExit, a missing required flag or one outside the row
+            cli.build_parser().parse_args(argv[1:])
 
     def test_one_experiment_line_each_in_table_order(self):
         names = [argv[2] for argv in _readme_cli_lines() if argv[1] == "experiment"]
