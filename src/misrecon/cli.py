@@ -297,6 +297,25 @@ _EXPERIMENTS = {
 }
 
 
+# row -> {flag: the flags that the row's handler does not read once flag is given}
+_UNREAD_WITH = {
+    "reconstruct": {"graph": ("family", "density"), "scheme": ("scheme-kind", "c", "p")},
+    "lemma7": {"family": ("sets", "ground", "density")},
+    "lemma8": {"family": ("sets", "ground", "density")},
+    "duality": {"scheme": ("n", "queries", "p", "seed")},
+}
+
+
+def _refuse_unread(name: str, defaults: dict, args) -> None:
+    """ValueError naming a flag set off its row default that the chosen branch ignores."""
+    for given, unread in _UNREAD_WITH.get(name, {}).items():
+        if getattr(args, given) is None:
+            continue
+        for flag in unread:
+            if getattr(args, flag.replace("-", "_")) != defaults[flag]:
+                raise ValueError(f"--{flag} is not read with --{given}")
+
+
 def _add_rows(sub, rows, flags) -> None:
     """One subparser per row, taking exactly the row's flags."""
     for name, (help_text, _, defaults) in rows.items():
@@ -325,7 +344,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "experiment":
+            _refuse_unread(args.name, _EXPERIMENTS[args.name][2], args)
             return _emit_report(_EXPERIMENTS[args.name][1](args), args)
+        _refuse_unread(args.command, _COMMANDS[args.command][2], args)
         return _COMMANDS[args.command][1](args)
     except CapExceededError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)

@@ -27,12 +27,19 @@ import numpy as np
 
 from .graphs import VertexSet
 from .reports import BoundCheck, ExperimentReport
-from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits, run_seeded_trials
+from .util import (
+    CapExceededError,
+    bernoulli_rows,
+    derive_seed,
+    iter_bits,
+    run_seeded_trials,
+    transpose_masks,
+)
 
 DEFAULT_CHECK_CAP = int(os.environ.get("MISRECON_CHECK_CAP", 5 * 10**6))
 DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
 # a larger ground set is refused before anything per element is allocated:
-# membership_masks' list, or random_set_family's blocks of up to 16 rows
+# dual's mask per element, or random_set_family's blocks of up to 16 rows
 GROUND_CAP = 10**6
 # a finer alpha grid is refused before np.linspace allocates 8 bytes a point
 GRID_CAP = 10**6
@@ -83,15 +90,6 @@ class SetFamily:
 
     def has_duplicates(self) -> bool:
         return len(set(self.masks)) != len(self.masks)
-
-    def membership_masks(self) -> list[int]:
-        """For each ground element x, the bitmask of set indices containing x."""
-        _check_ground(self.ground_size)
-        masks = [0] * self.ground_size
-        for i, m in enumerate(self.masks):
-            for x in iter_bits(m):
-                masks[x] |= 1 << i
-        return masks
 
     def to_text(self) -> str:
         lines = [f"{self.ground_size} {self.n}"]
@@ -159,7 +157,8 @@ def dual(f: SetFamily) -> SetFamily:
     Equal entries are kept as distinct indexed sets; the incidence matrix is
     simply transposed, so dual is an involution on incidence.
     """
-    return SetFamily(f.n, tuple(f.membership_masks()))
+    _check_ground(f.ground_size)
+    return SetFamily(f.n, tuple(transpose_masks(f.masks, f.ground_size)))
 
 
 def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
@@ -358,7 +357,7 @@ def survivor_count_experiment(
     n, t = f.n, f.ground_size
     if w + r > n:
         raise ValueError("need w + r <= n")
-    membership = f.membership_masks()
+    membership = dual(f).masks
 
     def trial(trial_seed: int) -> int:
         rng = random.Random(trial_seed)
@@ -417,7 +416,7 @@ def cover_witness_search(
     n = f.n
     if w + r > n:
         raise ValueError("need w + r <= n")
-    membership = f.membership_masks()
+    membership = dual(f).masks
 
     def trial(trial_seed: int) -> tuple[bool, bool]:
         rng = random.Random(trial_seed)

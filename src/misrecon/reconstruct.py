@@ -20,7 +20,7 @@ import numpy as np
 from .graphs import Graph
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
-from .util import derive_seed, run_seeded_trials
+from .util import derive_seed, masks_to_bits, run_seeded_trials
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,9 @@ def _co_occurs(n: int, masks: list[int]) -> np.ndarray:
     summed block by block in float32. Every term is >= 0, so a sum is
     positive exactly when one of its terms is, however it rounds.
     """
-    width = (n + 7) // 8
     gram = np.zeros((n, n), dtype=np.float32)
     for start in range(0, len(masks), _GRAM_ROWS):
-        block = masks[start : start + _GRAM_ROWS]
-        packed = np.frombuffer(
-            b"".join(m.to_bytes(width, "little") for m in block), np.uint8
-        ).reshape(len(block), width)
-        rows = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(
-            np.float32
-        )
+        rows = masks_to_bits(masks[start : start + _GRAM_ROWS], n).astype(np.float32)
         gram += rows.T @ rows
     return gram > 0
 

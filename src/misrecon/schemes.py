@@ -56,16 +56,12 @@ class QueryScheme:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def as_set_family(self) -> SetFamily:
-        """The queries as a family of sets over ground {0,..,n-1}."""
-        return SetFamily(self.n, self.masks)
-
     def dual_family(self) -> SetFamily:
         """One set per vertex v: the indices of queries containing v."""
-        return coverfree.dual(self.as_set_family())
+        return coverfree.dual(SetFamily(self.n, self.masks))
 
     def to_text(self) -> str:
-        return self.as_set_family().to_text()
+        return SetFamily(self.n, self.masks).to_text()
 
     @classmethod
     def from_text(cls, text: str) -> "QueryScheme":
@@ -131,7 +127,7 @@ def cff_scheme(
             raise SchemeConstructionError(
                 f"builder family is not (2,{2 * delta})-cover-free: {witness}"
             )
-    return QueryScheme(n, tuple(family.membership_masks()))
+    return QueryScheme(n, coverfree.dual(family).masks)
 
 
 @dataclass(frozen=True)

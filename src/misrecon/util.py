@@ -1,5 +1,5 @@
 """Shared plumbing: deterministic seed derivation, seeded shuffles and
-Bernoulli rows, capacity errors, trial loops.
+Bernoulli rows, the int-mask / bit-row codec, capacity errors, trial loops.
 
 Every randomized operation in this package takes an explicit integer seed and
 derives per-trial / per-query seeds through a fixed 64-bit mixer, so results
@@ -90,9 +90,44 @@ def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[
     for start in range(0, rows, _DRAW_ROWS):
         block = min(_DRAW_ROWS, rows - start)
         draws = _random_keys(rng, block * width).reshape(block, width) < threshold
-        packed = np.packbits(draws, axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        masks.extend(bits_to_masks(draws))
     return masks
+
+
+def masks_to_bits(masks: Sequence[int], width: int) -> np.ndarray:
+    """len(masks) x width uint8 rows of 0/1, [i, j] being bit j of masks[i] (each
+    mask fits in width bits); with bits_to_masks, the one mask-to-row codec."""
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
+    return np.unpackbits(
+        packed.reshape(len(masks), size), axis=1, count=width, bitorder="little"
+    )
+
+
+def bits_to_masks(bits: np.ndarray) -> list[int]:
+    """The int mask of each row of a 2-d array of 0/1 or booleans, bit j from column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+# bytes of ground elements per block, which bounds the temporaries of
+# transpose_masks to len(masks) * 8 * _TRANSPOSE_BYTES bytes
+_TRANSPOSE_BYTES = 1024
+
+
+def transpose_masks(masks: Sequence[int], width: int) -> list[int]:
+    """For each x < width, the mask of the indices i with bit x set in masks[i].
+
+    The incidence matrix is transposed a block of ground elements at a time,
+    so each mask is shifted once per block rather than walked bit by bit.
+    """
+    step = 8 * _TRANSPOSE_BYTES
+    out = []
+    for start in range(0, width, step):
+        span = min(step, width - start)
+        low = (1 << span) - 1
+        out.extend(bits_to_masks(masks_to_bits([m >> start & low for m in masks], span).T))
+    return out
 
 
 def mask_from_members(members: Sequence[int]) -> int:

@@ -427,7 +427,32 @@ ROWS = [([name], flags) for name, (_, _, flags) in cli._COMMANDS.items()] + [
     (["experiment", name], flags) for name, (_, _, flags) in cli._EXPERIMENTS.items()
 ]
 ROW_IDS = [" ".join(prefix) for prefix, _ in ROWS]
+ROW_FLAGS = dict(zip(ROW_IDS, (flags for _, flags in ROWS)))
 ALL_FLAGS = sorted({flag for _, flags in ROWS for flag in flags})
+
+
+def _row_name(argv):
+    return " ".join(argv[:2] if argv[0] == "experiment" else argv[:1])
+
+
+# (argv of a branch that reads a file, the flag naming it, and each flag that
+# branch does not read with a value off its row default)
+UNREAD = [
+    (["reconstruct", "--n", "5", "--delta", "2", "--seed", "1", "--graph", "{graph}"],
+     "graph", {"family": "thm3", "density": "0.3"}),
+    (["reconstruct", "--n", "5", "--delta", "2", "--seed", "1", "--scheme", "{scheme5}"],
+     "scheme", {"scheme-kind": "randomized", "c": "3", "p": "0.2"}),
+    *[(["experiment", name, "--family", "{family}", "--w", "1", "--r", "1", "--seed", "1"],
+       "family", {"sets": "3", "ground": "99", "density": "0.9"})
+      for name in ("lemma7", "lemma8")],
+    (["experiment", "duality", "--delta", "1", "--scheme", "{scheme4}"],
+     "scheme", {"n": "4", "queries": "3", "p": "0.3", "seed": "1"}),
+]
+UNREAD_CASES = [
+    (argv, given, flag, value)
+    for argv, given, values in UNREAD
+    for flag, value in values.items()
+]
 
 
 class TestTable:
@@ -488,18 +513,53 @@ class TestTable:
     )
     def test_every_handler_branch_runs(self, argv, tmp_path, capsys):
         # a handler that read a flag outside its row would end in exit 4
-        files = {
-            "graph": "5 2\n0 1\n2 3\n",
-            "scheme5": "5 3\n0 1 2\n2 3 4\n0 4\n",
-            "scheme4": "4 2\n0 1\n2 3\n",
-            "family": "4 4\n0\n1\n2\n3\n",
-        }
-        paths = {"out": str(tmp_path / "out")}
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
-            paths[name] = str(tmp_path / name)
-        code, _, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+        code, _, err = run_cli(_with_files(argv, tmp_path), capsys)
         assert code in (0, 1), err
+
+    @pytest.mark.parametrize(
+        "argv, given, flag, value", UNREAD_CASES, ids=[
+            f"{_row_name(argv)} --{given} --{flag}" for argv, given, flag, _ in UNREAD_CASES
+        ],
+    )
+    def test_flag_the_branch_does_not_read_exits_two(
+        self, argv, given, flag, value, tmp_path, capsys
+    ):
+        code, stdout, err = run_cli(
+            _with_files([*argv, f"--{flag}", value], tmp_path), capsys
+        )
+        assert code == 2 and not stdout
+        assert err == f"error: --{flag} is not read with --{given}\n"
+
+    @pytest.mark.parametrize(
+        "argv, given, values", UNREAD,
+        ids=[f"{_row_name(argv)} --{given}" for argv, given, _ in UNREAD],
+    )
+    def test_unread_flag_at_its_row_default_is_accepted(
+        self, argv, given, values, tmp_path, capsys
+    ):
+        defaults = ROW_FLAGS[_row_name(argv)]
+        given_defaults = [
+            arg for flag in values if defaults[flag] is not None
+            for arg in (f"--{flag}", str(defaults[flag]))
+        ]
+        assert given_defaults
+        code, _, err = run_cli(_with_files([*argv, *given_defaults], tmp_path), capsys)
+        assert code in (0, 1), err
+
+
+def _with_files(argv, tmp_path):
+    """argv with each {name} replaced by the path of a small input file."""
+    files = {
+        "graph": "5 2\n0 1\n2 3\n",
+        "scheme5": "5 3\n0 1 2\n2 3 4\n0 4\n",
+        "scheme4": "4 2\n0 1\n2 3\n",
+        "family": "4 4\n0\n1\n2\n3\n",
+    }
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return [arg.format(**paths) for arg in argv]
 
 
 class TestDeterminism:
@@ -541,11 +601,16 @@ class TestDeterminism:
         assert "measured t = 2" in result.stdout
 
 
+def _readme_block(section, fence):
+    """The first `fence` code block after the README heading `section`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    after = readme.split(f"## {section}\n", 1)[1]
+    return after.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_cli_lines():
     """The `misrecon ...` commands of the README's CLI code block."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    joined = block.replace("\\\n", " ")
+    joined = _readme_block("CLI", "sh").replace("\\\n", " ")
     return [shlex.split(ln) for ln in joined.splitlines() if ln.startswith("misrecon ")]
 
 
@@ -560,3 +625,7 @@ class TestReadmeExamples:
     def test_one_experiment_line_each_in_table_order(self):
         names = [argv[2] for argv in _readme_cli_lines() if argv[1] == "experiment"]
         assert names == list(cli._EXPERIMENTS)
+
+    def test_library_sketch_runs(self):
+        # its asserts check the answers and the exact decode
+        exec(compile(_readme_block("Library sketch", "python"), "README.md", "exec"), {})

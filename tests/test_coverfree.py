@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from misrecon import coverfree
 from misrecon.coverfree import (
     GROUND_CAP,
     CffConstructionError,
@@ -42,7 +43,7 @@ class TestSetFamily:
 
     def test_membership_masks(self):
         f = fam(3, [0, 1], [1], [])
-        assert f.membership_masks() == [0b001, 0b011, 0b000]
+        assert dual(f).masks == (0b001, 0b011, 0b000)
 
     def test_text_round_trip_with_empty_set(self):
         f = fam(5, [0, 3], [], [1, 2, 4])
@@ -237,15 +238,17 @@ class TestRandomCff:
         with pytest.raises((CffConstructionError, ValueError)):
             random_set_family(3, 1, 0.5, seed=0)
 
-    def test_ground_over_cap_refused_before_drawing(self):
+    def test_ground_over_cap_refused_before_drawing(self, monkeypatch):
         with pytest.raises(CapExceededError, match=f"ground size {GROUND_CAP + 1} "):
             random_set_family(3, GROUND_CAP + 1, 0.5, seed=0)
-        # a family that large may exist, but its per-element view is refused
+        # a family that large may exist, but its dual is refused before the
+        # transpose allocates anything per element
         f = SetFamily(GROUND_CAP + 1, (1, 2))
-        for per_element in (f.membership_masks, lambda: dual(f)):
+        with monkeypatch.context() as m:
+            m.setattr(coverfree, "transpose_masks", lambda *_: pytest.fail("transposed"))
             with pytest.raises(CapExceededError, match=f"exceeds cap {GROUND_CAP}$"):
-                per_element()
-        assert len(SetFamily(GROUND_CAP, (1, 2)).membership_masks()) == GROUND_CAP
+                dual(f)
+        assert len(dual(SetFamily(GROUND_CAP, (1, 2))).masks) == GROUND_CAP
 
 
 def sperner_minimal_ground(n):

@@ -12,6 +12,7 @@ import math
 import random
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import cli_env
 from misrecon import graphs as lib_graphs
-from misrecon import lowerbounds, oracle, reconstruct, schemes
+from misrecon import lowerbounds, oracle, reconstruct, schemes, util
 from misrecon.coverfree import (
     CffConstructionError,
     SetFamily,
@@ -41,7 +42,13 @@ from misrecon.oracle import (
     run_scheme,
 )
 from misrecon.schemes import QueryScheme
-from misrecon.util import CapExceededError, bernoulli_rows, derive_seed, shuffle
+from misrecon.util import (
+    CapExceededError,
+    bernoulli_rows,
+    derive_seed,
+    shuffle,
+    transpose_masks,
+)
 
 # the host's speed varies, so no per-example deadline
 checked = settings(deadline=None, max_examples=150)
@@ -617,12 +624,33 @@ class TestIsQueryScheme:
         assert result == ref.is_query_scheme(scheme, delta)
 
 
+@st.composite
+def incidences(draw, max_n=12, max_ground=30):
+    """Families with any number of sets, the empty family and ground included."""
+    ground = draw(st.integers(0, max_ground))
+    masks = draw(st.lists(st.integers(0, (1 << ground) - 1), max_size=max_n))
+    return SetFamily(ground, tuple(masks))
+
+
 class TestMembershipTranspose:
     @checked
     @given(case=families(max_n=10, max_ground=8))
     def test_dual_equals_membership_scan(self, case):
         f, _ = case
         assert dual(f) == ref.dual(f)
+
+    @checked
+    @given(f=incidences())
+    @example(f=SetFamily(0, ()))
+    @example(f=SetFamily(0, (0, 0)))  # no ground element
+    @example(f=SetFamily(13, ()))  # no set
+    @example(f=SetFamily(17, ((1 << 17) - 1, 0b101, 0, 1 << 16)))  # a partial third block
+    def test_one_byte_blocks_equal_membership_scan(self, f):
+        # several blocks run, the last one partial when the ground is not a
+        # multiple of 8
+        with patch.object(util, "_TRANSPOSE_BYTES", 1):
+            assert dual(f) == ref.dual(f)
+            assert transpose_masks(f.masks, f.ground_size) == list(ref.dual(f).masks)
 
     @checked
     @given(case=families(max_n=10, max_ground=8).filter(lambda case: case[0].n >= 2))

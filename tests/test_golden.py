@@ -5,7 +5,8 @@ oracle and the decoder were rewritten with batched kernels, the
 `profile-count` digest before run_scheme answered each distinct query once,
 the `generate` digest while the generator still called Random.shuffle, and
 the hidden-clique digests while the plain and blocked families were still
-built by two separate samplers and enumerators.
+built by two separate samplers and enumerators, and the n=200 default-CFF
+digests while the dual was still built by a walk over each set's members.
 A change that alters any of them on purpose must say so in CHANGES.md and
 record new digests here.
 """
@@ -41,6 +42,13 @@ GOLDEN = {
          "--seed", "13"],
         "0348428ae26eb517118d94ec9f4b6a8a0ca57af456ffcc0498792ec6874c4206",
         "da0a9f5a7574c26347e0d736c38228750664a335957a1bc2d36d33f55d7c1592",
+    ),
+    # the CLI defaults: the dual of random_cff's 200 sets over 101,711
+    # elements (too many to verify as (2,16)-cover-free), answered by greedy-lex
+    "cff-greedy-lex-n200": (
+        ["--n", "200", "--delta", "8", "--density", "0.5", "--seed", "1"],
+        "cee5ab37e96dcaa24744b02bd17b160e3ee7b7057fe73975408ef12015296352",
+        "b7e27234cd0652360685e43734570d653e658d2c8690582c8f029af45fbb9e3f",
     ),
     # the truth is a sampled member of the blocked hidden-clique family
     "thm3-cff-greedy-lex": (

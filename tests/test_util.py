@@ -1,6 +1,12 @@
-import pytest
+import re
+from pathlib import Path
 
-from misrecon.util import derive_seed, run_seeded_trials
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from misrecon import util
+from misrecon.util import bits_to_masks, derive_seed, masks_to_bits, run_seeded_trials
 
 
 class TestRunSeededTrials:
@@ -21,3 +27,33 @@ class TestRunSeededTrials:
     def test_negative_trials_raise(self):
         with pytest.raises(ValueError, match="trials must be >= 0"):
             run_seeded_trials(lambda s: s, -1, seed=1)
+
+
+@st.composite
+def masks_of_width(draw):
+    width = draw(st.integers(0, 80))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    return masks, width
+
+
+class TestMaskCodec:
+    @settings(deadline=None, max_examples=150)
+    @given(case=masks_of_width())
+    @example(case=([], 0))
+    @example(case=([0, 0], 0))
+    @example(case=([], 9))
+    @example(case=([(1 << 65) - 1, 1 << 64, 0b101], 65))  # past a 64-bit word
+    def test_bits_round_trip(self, case):
+        masks, width = case
+        bits = masks_to_bits(masks, width)
+        assert bits.shape == (len(masks), width)
+        assert bits.tolist() == [[m >> j & 1 for j in range(width)] for m in masks]
+        assert bits_to_masks(bits) == masks
+
+
+def test_only_util_converts_between_masks_and_bit_rows():
+    # one codec: every other module goes through masks_to_bits and bits_to_masks
+    codec = re.compile(r"to_bytes\(|from_bytes\(|packbits|unpackbits")
+    src = Path(util.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py")) if codec.search(p.read_text())]
+    assert users == ["util.py"]
