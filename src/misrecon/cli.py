@@ -16,6 +16,7 @@ import argparse
 import sys
 import traceback
 from pathlib import Path
+from typing import Iterable
 
 from . import coverfree, lowerbounds, reconstruct
 from .coverfree import CffConstructionError, CffParams, SetFamily, random_set_family
@@ -49,11 +50,14 @@ EXIT_CAP_EXCEEDED = 3
 EXIT_INTERNAL = 4
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write text, or each string of an iterable in turn, to path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
 
 
 def _emit_report(report: ExperimentReport, args) -> int:
@@ -110,12 +114,10 @@ def cmd_reconstruct(args) -> int:
     policy = make_policy(args.policy, seed=derive_seed(args.seed, 2))
     transcript = run_scheme(truth, scheme, policy)
     if args.transcript_out:
-        _write(args.transcript_out, transcript.to_text())
+        _write(args.transcript_out, transcript.lines())
     result = reconstruct.decode(truth.n, transcript)
-    decoded_text = reconstruct.decode_result_to_text(result)
-    _write(args.out, decoded_text)
-    complete = result.complete or args.complete_as_nonedge
-    exact = complete and result.as_graph(unknown_as_nonedge=True) == truth
+    _write(args.out, reconstruct.decode_result_to_text(result))
+    exact = result.matches(truth, args.complete_as_nonedge)
     print(
         f"reconstructed n={truth.n} delta={args.delta} queries={len(scheme)} "
         f"policy={args.policy} seed={args.seed} unknown={len(result.unknown_pairs)} "

@@ -32,6 +32,7 @@ from .util import (
     bernoulli_rows,
     derive_seed,
     iter_bits,
+    mean_var_stderr,
     run_seeded_trials,
     transpose_masks,
 )
@@ -213,9 +214,7 @@ def cff_ground_size(n: int, w: int, r: int, c: float) -> int:
     return math.ceil(c * (w + r) ** (w + r + 1) / (w**w * r**r) * math.log(n))
 
 
-def random_cff(
-    n: int, w: int, r: int, c: float = 2.0, seed: int = 0, max_rounds: int = 100
-) -> SetFamily:
+def random_cff(n: int, w: int, r: int, c: float = 2.0, seed: int = 0) -> SetFamily:
     """Randomized cover-free family candidate.
 
     A random_set_family over cff_ground_size(n, w, r, c) elements with
@@ -230,7 +229,7 @@ def random_cff(
     if c <= 0:
         raise ValueError("oversampling constant must be positive")
     t = cff_ground_size(n, w, r, c)
-    return random_set_family(n, t, w / (w + r), seed, max_rounds)
+    return random_set_family(n, t, w / (w + r), seed)
 
 
 def random_set_family(
@@ -349,8 +348,6 @@ def survivor_count_experiment(
     ceiling (n/(n-w))^r * sum_x a_x^w (1-a_x)^r and against the distribution-
     free ceiling (w/(w+r))^w * t.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     if f.has_duplicates():
         raise ValueError("experiment requires a family of distinct sets")
     w, r = params.w, params.r
@@ -364,10 +361,7 @@ def survivor_count_experiment(
         a_mask, b_mask = _draw_trial(f, w, r, rng)
         return len(_surviving_elements(membership, a_mask, b_mask))
 
-    sizes = run_seeded_trials(trial, trials, seed)
-    mean = sum(sizes) / trials
-    var = sum((x - mean) ** 2 for x in sizes) / trials
-    stderr = math.sqrt(var / trials)
+    mean, var, stderr = mean_var_stderr(run_seeded_trials(trial, trials, seed))
 
     alphas = [m.bit_count() / n for m in membership]
     exact_ceiling = (n / (n - w)) ** r * sum(a**w * (1 - a) ** r for a in alphas)
@@ -408,8 +402,6 @@ def cover_witness_search(
     set inclusion. Each verified witness certifies the family is not
     (w, r+|X|)-cover-free via this route.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     if f.has_duplicates():
         raise ValueError("experiment requires a family of distinct sets")
     w, r, s = params.w, params.r, params.s

@@ -282,14 +282,18 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, 
     u_size, w_size, _ = family_shape(delta, blocked=True)
     _require_room(n, delta)
     rng = random.Random(seed)
-    picked = rng.sample(range(n), u_size + w_size)
-    desc = AdversarialFamilyDesc(
-        n=n,
-        delta=delta,
-        clique=mask_from_members(picked[:u_size]),
-        forced_block=mask_from_members(picked[u_size:]),
-    )
+    clique, block = draw_clique_and_block(rng, n, u_size, w_size)
+    desc = AdversarialFamilyDesc(n=n, delta=delta, clique=clique, forced_block=block)
     return _family_member(desc, rng), desc
+
+
+def draw_clique_and_block(
+    rng: random.Random, n: int, u_size: int, w_size: int
+) -> tuple[int, int]:
+    """Masks of uniform disjoint U and W of the given sizes: the first u_size
+    and the next w_size vertices of rng.sample(range(n), u_size + w_size)."""
+    picked = rng.sample(range(n), u_size + w_size)
+    return mask_from_members(picked[:u_size]), mask_from_members(picked[u_size:])
 
 
 def clique_family_size(n: int, delta: int) -> int:
@@ -403,37 +407,59 @@ def enumerate_bounded_degree_graphs(
     return tuple(out)
 
 
+def pairs_to_text(pairs: Iterable[tuple[int, int]]) -> str:
+    """One newline-terminated `u v` line per pair, in the given order; with
+    pairs_from_lines, the one codec of pair lines."""
+    return "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def pairs_from_lines(
+    n: int, lines: Iterable[str], what: str = "edge"
+) -> tuple[tuple[int, int], ...]:
+    """The pairs of `u v` lines in their order. ValueError names the first
+    line that is not two integers 0 <= u < v < n, or that repeats a line."""
+    # a dict finds a repeated line at once and keeps the file's order
+    pairs: dict[tuple[int, int], None] = {}
+    for ln in lines:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError as exc:
+            raise ValueError(f"bad {what} line: {ln!r}") from exc
+        if not 0 <= u < v < n:
+            raise ValueError(f"{what} line must satisfy 0 <= u < v < {n}: {ln!r}")
+        if (u, v) in pairs:
+            raise ValueError(f"repeated {what} line: {ln!r}")
+        pairs[u, v] = None
+    return tuple(pairs)
+
+
 def graph_to_text(g: Graph) -> str:
     """Serialize as `n m` followed by m lines `u v` (u<v), sorted, newline-terminated."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.num_edges}\n" + pairs_to_text(g.edges)
 
 
 def graph_from_text(text: str, n: int | None = None) -> Graph:
     """Parse graph_to_text's format. With n given, a header that names another
     vertex count is refused before anything is allocated."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return Graph(*read_graph_lines([ln for ln in text.splitlines() if ln.strip()], n))
+
+
+def read_graph_lines(
+    lines: list[str], n: int | None = None
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The vertex count and the edges, in file order, of a graph file's
+    non-blank lines, checked as graph_from_text checks them; nothing of the
+    header's size is allocated."""
     if not lines:
         raise ValueError("empty graph file")
     try:
         size, m = map(int, lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad graph header: {lines[0]!r}") from exc
+    if size < 0:
+        raise ValueError(f"bad graph header: {lines[0]!r}")
     if n is not None and size != n:
         raise ValueError(f"graph file does not match n={n}: its header says {size}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    # a dict finds a repeated line at once and keeps the file's edge order
-    edges: dict[tuple[int, int], None] = {}
-    for ln in lines[1:]:
-        try:
-            u, v = map(int, ln.split())
-        except ValueError as exc:
-            raise ValueError(f"bad edge line: {ln!r}") from exc
-        if u >= v:
-            raise ValueError(f"edge line must satisfy u < v: {ln!r}")
-        if (u, v) in edges:
-            raise ValueError(f"repeated edge line: {ln!r}")
-        edges[u, v] = None
-    return Graph(size, edges)
+    return size, pairs_from_lines(size, lines[1:])

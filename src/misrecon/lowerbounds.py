@@ -19,11 +19,11 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .graphs import AdversarialFamilyDesc, Graph, family_shape
+from .graphs import AdversarialFamilyDesc, Graph, draw_clique_and_block, family_shape
 from .oracle import AdversarialCliquePolicy, run_scheme
 from .reports import BoundCheck, ExperimentReport
 from .schemes import QueryScheme
-from .util import derive_seed, mask_from_members, run_seeded_trials
+from .util import derive_seed, mean_var_stderr, run_seeded_trials
 
 
 def _transcript_profiles(
@@ -42,18 +42,21 @@ def _transcript_profiles(
     return len(profiles), size
 
 
-def per_query_answer_bound(scheme: QueryScheme, desc: AdversarialFamilyDesc) -> int:
-    """Product over queries of the answer-count ceiling for the described family.
+def answer_counts(scheme: QueryScheme, desc: AdversarialFamilyDesc) -> list[int]:
+    """D_Q for each query Q in order: the answer-count ceiling over the family.
 
-    A query meeting the forced block has exactly one possible answer;
+    A query meeting the forced block W has exactly one possible answer;
     otherwise at most |Q cap U| + 1 answers are possible.
     """
-    bound = 1
-    for q in scheme.masks:
-        if q & desc.forced_block:
-            continue
-        bound *= (q & desc.clique).bit_count() + 1
-    return bound
+    return [
+        1 if q & desc.forced_block else (q & desc.clique).bit_count() + 1
+        for q in scheme.masks
+    ]
+
+
+def per_query_answer_bound(scheme: QueryScheme, desc: AdversarialFamilyDesc) -> int:
+    """Product over queries of D_Q, the answer-count ceiling for the family."""
+    return math.prod(answer_counts(scheme, desc))
 
 
 def best_decoder_success(
@@ -117,38 +120,23 @@ def dq_statistics(
     empirical frequency of {u in Q, W disjoint from Q} per clique vertex
     (checked against the ceiling 3/delta).
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     u_size, w_size, _ = family_shape(delta, blocked=True)
     if u_size + w_size > n:
         raise ValueError("n too small for the requested delta")
 
-    def trial(trial_seed: int) -> tuple[list[float], int]:
-        rng = random.Random(trial_seed)
-        picked = rng.sample(range(n), u_size + w_size)
-        u_mask = mask_from_members(picked[:u_size])
-        w_mask = mask_from_members(picked[u_size:])
-        scheme = scheme_gen(derive_seed(trial_seed, 1))
-        logs: list[float] = []
-        hits = 0
-        for q in scheme.masks:
-            if q & w_mask:
-                logs.append(0.0)
-            else:
-                in_u = (q & u_mask).bit_count()
-                logs.append(math.log(in_u + 1))
-                hits += in_u
-        return logs, hits
+    def trial(trial_seed: int) -> list[int]:
+        clique, block = draw_clique_and_block(random.Random(trial_seed), n, u_size, w_size)
+        desc = AdversarialFamilyDesc(n, delta, clique, block)
+        return answer_counts(scheme_gen(derive_seed(trial_seed, 1)), desc)
 
-    results = run_seeded_trials(trial, trials, seed)
-    logs = [x for lg, _ in results for x in lg]
-    if not logs:
+    counts = [d for ds in run_seeded_trials(trial, trials, seed) for d in ds]
+    if not counts:
         raise ValueError("scheme generator produced no queries")
-    hits = sum(h for _, h in results)
+    logs = [math.log(d) for d in counts]
+    # D_Q - 1 is |Q cap U| when Q misses W, and 0 when it meets W
+    hits = sum(counts) - len(counts)
     samples_hit = len(logs) * u_size
-    mean_log = sum(logs) / len(logs)
-    var_log = sum((x - mean_log) ** 2 for x in logs) / len(logs)
-    se_log = math.sqrt(var_log / len(logs))
+    mean_log, _, se_log = mean_var_stderr(logs)
     p_hat = hits / samples_hit
     se_p = math.sqrt(p_hat * (1.0 - p_hat) / samples_hit)
     log_bound = 4.0

@@ -13,7 +13,7 @@ import _random
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph, VertexSet
 from .util import derive_seed, iter_bits, shuffle
@@ -208,12 +208,14 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.masks)
 
+    def lines(self) -> Iterator[str]:
+        """The newline-terminated JSON line of each pair, made one at a time."""
+        for q, a in self.masks:
+            pair = {"query": list(iter_bits(q)), "answer": list(iter_bits(a))}
+            yield json.dumps(pair) + "\n"
+
     def to_text(self) -> str:
-        lines = [
-            json.dumps({"query": list(iter_bits(q)), "answer": list(iter_bits(a))})
-            for q, a in self.masks
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.lines())
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "Transcript":

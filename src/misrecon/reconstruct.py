@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, pairs_from_lines, pairs_to_text, read_graph_lines
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
 from .util import derive_seed, masks_to_bits, run_seeded_trials
@@ -40,11 +40,10 @@ class DecodeResult:
             return None
         return Graph(self.n, self.edges)
 
-    def as_graph(self, unknown_as_nonedge: bool = False) -> Graph:
-        """Force a total graph, optionally treating unknown pairs as non-edges."""
-        if not self.complete and not unknown_as_nonedge:
-            raise ValueError(f"{len(self.unknown_pairs)} pairs are undecided")
-        return Graph(self.n, self.edges)
+    def matches(self, g: Graph, unknown_as_nonedge: bool = False) -> bool:
+        """True iff the decoded edges are exactly g's and no pair is unknown,
+        or, with unknown_as_nonedge, the unknown pairs are g's non-edges."""
+        return (self.complete or unknown_as_nonedge) and Graph(self.n, self.edges) == g
 
 
 def decode(n: int, transcript: Transcript) -> DecodeResult:
@@ -96,47 +95,29 @@ def consistency_check(g_hat: Graph, transcript: Transcript) -> bool:
 
 
 def decode_result_to_text(result: DecodeResult) -> str:
-    """Graph text format for the decided edges, plus an `unknown` section."""
-    lines = [f"{result.n} {len(result.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in result.edges)
-    lines.append(f"unknown {len(result.unknown_pairs)}")
-    lines.extend(f"{u} {v}" for u, v in result.unknown_pairs)
-    return "\n".join(lines) + "\n"
+    """The graph format for the decided edges, then `unknown k` and k pair lines."""
+    return (
+        f"{result.n} {len(result.edges)}\n" + pairs_to_text(result.edges)
+        + f"unknown {len(result.unknown_pairs)}\n" + pairs_to_text(result.unknown_pairs)
+    )
 
 
 def decode_result_from_text(text: str) -> DecodeResult:
-    """Parse the decode_result_to_text format; ValueError on any defect."""
+    """Parse the decode_result_to_text format; ValueError on any defect. The
+    lines before the first `unknown` line are read as a graph file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty decode file")
+    at = next((i for i, ln in enumerate(lines) if ln.split()[0] == "unknown"), None)
+    if at is None:
+        raise ValueError("expected the edge lines, then an 'unknown <count>' line")
+    n, edges = read_graph_lines(lines[:at])
     try:
-        n, m = map(int, lines[0].split())
+        _, k = lines[at].split()
+        k = int(k)
     except ValueError as exc:
-        raise ValueError(f"bad decode header: {lines[0]!r}") from exc
-    if n < 0 or m < 0:
-        raise ValueError(f"bad decode header: {lines[0]!r}")
-    marker = lines[m + 1].split() if len(lines) > m + 1 else []
-    if len(marker) != 2 or marker[0] != "unknown":
-        raise ValueError(f"expected {m} edge lines, then an 'unknown <count>' line")
-    try:
-        k = int(marker[1])
-    except ValueError as exc:
-        raise ValueError(f"bad unknown-section line: {lines[m + 1]!r}") from exc
-    if k < 0 or len(lines) - m - 2 != k:
-        raise ValueError(f"expected {k} unknown pairs, found {len(lines) - m - 2}")
-    edges = tuple(_parse_pair(n, ln) for ln in lines[1 : m + 1])
-    unknown = tuple(_parse_pair(n, ln) for ln in lines[m + 2 :])
-    return DecodeResult(n, edges, unknown)
-
-
-def _parse_pair(n: int, line: str) -> tuple[int, int]:
-    try:
-        u, v = map(int, line.split())
-    except ValueError as exc:
-        raise ValueError(f"bad pair line: {line!r}") from exc
-    if not 0 <= u < v < n:
-        raise ValueError(f"pair line must satisfy 0 <= u < v < {n}: {line!r}")
-    return u, v
+        raise ValueError(f"bad unknown-section line: {lines[at]!r}") from exc
+    if k < 0 or len(lines) - at - 1 != k:
+        raise ValueError(f"expected {k} unknown pairs, found {len(lines) - at - 1}")
+    return DecodeResult(n, edges, pairs_from_lines(n, lines[at + 1 :], "unknown pair"))
 
 
 @dataclass(frozen=True)
@@ -161,18 +142,11 @@ def success_rate(
     from (seed, index); a trial succeeds only on an exact, complete match
     (or exact match after forcing unknowns to non-edges when requested).
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-
     def trial(trial_seed: int) -> bool:
         g = graph_gen(derive_seed(trial_seed, 0))
         scheme = scheme_gen(derive_seed(trial_seed, 1))
         policy = policy_gen(derive_seed(trial_seed, 2))
-        transcript = run_scheme(g, scheme, policy)
-        result = decode(g.n, transcript)
-        if not result.complete and not unknown_as_nonedge:
-            return False
-        return result.as_graph(unknown_as_nonedge=True) == g
+        return decode(g.n, run_scheme(g, scheme, policy)).matches(g, unknown_as_nonedge)
 
     outcomes = run_seeded_trials(trial, trials, seed)
     successes = sum(outcomes)

@@ -256,21 +256,16 @@ class DualityReport:
         return self.necessity_holds and self.sufficiency_holds
 
 
-def duality_check(
-    scheme: QueryScheme,
-    delta: int,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    check_cap: int = coverfree.DEFAULT_CHECK_CAP,
-) -> DualityReport:
+def duality_check(scheme: QueryScheme, delta: int) -> DualityReport:
     """Cross-check the scheme property against cover-freeness of the dual."""
     if scheme.n < 2:
         raise ValueError(f"need a scheme over n >= 2 vertices, got n = {scheme.n}")
     if delta < 1:
         raise ValueError("need delta >= 1")
-    scheme_result = is_query_scheme(scheme, delta, cap=pair_cap)
+    scheme_result = is_query_scheme(scheme, delta)
     dual_family = scheme.dual_family()
-    necessary = is_cover_free(dual_family, 2, 2 * delta - 2, cap=check_cap)
-    sufficient = is_cover_free(dual_family, 2, 2 * delta, cap=check_cap)
+    necessary = is_cover_free(dual_family, 2, 2 * delta - 2)
+    sufficient = is_cover_free(dual_family, 2, 2 * delta)
     return DualityReport(
         delta=delta,
         is_scheme=bool(scheme_result),

@@ -1,5 +1,6 @@
 """Shared plumbing: deterministic seed derivation, seeded shuffles and
-Bernoulli rows, the int-mask / bit-row codec, capacity errors, trial loops.
+Bernoulli rows, the int-mask / bit-row codec, capacity errors, trial loops
+and their sample statistics.
 
 Every randomized operation in this package takes an explicit integer seed and
 derives per-trial / per-query seeds through a fixed 64-bit mixer, so results
@@ -39,10 +40,18 @@ def derive_seed(base: int, *path: int) -> int:
 
 
 def run_seeded_trials(trial: Callable[[int], T], trials: int, seed: int) -> list[T]:
-    """[trial(derive_seed(seed, index)) for index in range(trials)], in order."""
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
+    """[trial(derive_seed(seed, index)) for index in range(trials)], in order;
+    the one refusal of a trial count below 1."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     return [trial(derive_seed(seed, i)) for i in range(trials)]
+
+
+def mean_var_stderr(xs: Sequence[float]) -> tuple[float, float, float]:
+    """The mean of xs, their population variance, and the standard error of the mean."""
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    return mean, var, math.sqrt(var / len(xs))
 
 
 def shuffle(rng: random.Random, x: MutableSequence) -> None:

@@ -2,7 +2,8 @@
 
 perfbench/run.py names the functions and policy methods its tracer wraps,
 perfbench/smoke.py checks that some of them are also bound under other
-module names, and perfbench/workloads.py takes len() of queries and answers.
+module names, and perfbench/workloads.py takes len() of queries and answers
+and reads decode results and their text.
 perfbench/smoke.py takes seconds and is not part of this suite, so these
 checks keep a library change from breaking the benchmark unseen. run.py is
 read and executed in a fresh namespace, so no file under perfbench/ is
@@ -68,3 +69,16 @@ def test_queries_and_answers_have_a_size(kind):
     assert [len(a) for _, a in transcript.entries] == [
         a.bit_count() for _, a in transcript.masks
     ]
+
+
+def test_decode_result_surface_the_workloads_read():
+    g = gen_bounded_degree(6, 2, 0.8, seed=4)
+    scheme = schemes.random_queries(6, 3, 0.5, seed=5)
+    result = reconstruct.decode(6, oracle.run_scheme(g, scheme, oracle.GreedyLexPolicy()))
+    assert not result.complete and result.graph is None
+    assert all(type(p) is tuple and len(p) == 2 for p in result.edges + result.unknown_pairs)
+    text = reconstruct.decode_result_to_text(result)
+    assert isinstance(text, str) and text.startswith(f"6 {len(result.edges)}\n")
+    full = schemes.cff_scheme(6, 2, seed=1)
+    complete = reconstruct.decode(6, oracle.run_scheme(g, full, oracle.GreedyLexPolicy()))
+    assert complete.complete and complete.graph == g

@@ -104,6 +104,7 @@ class TestRoundTrip:
     def test_transcript(self, drawn):
         n, transcript = drawn
         text = transcript.to_text()
+        assert "".join(transcript.lines()) == text
         assert Transcript.from_text(n, text) == transcript
         assert Transcript.from_text(n, text).to_text() == text
 
@@ -111,6 +112,8 @@ class TestRoundTrip:
     @given(decode_results())
     def test_decoded_graph(self, result):
         text = decode_result_to_text(result)
+        # the decoded file is a graph file plus the unknown section
+        assert text.startswith(graph_to_text(Graph(result.n, result.edges)))
         assert decode_result_from_text(text) == result
         assert decode_result_to_text(decode_result_from_text(text)) == text
 

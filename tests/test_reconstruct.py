@@ -66,9 +66,24 @@ class TestDecode:
         assert not result.complete
         assert len(result.unknown_pairs) == 6
         assert result.graph is None
-        assert result.as_graph(unknown_as_nonedge=True) == Graph.empty(4)
-        with pytest.raises(ValueError):
-            result.as_graph()
+        assert not result.matches(Graph.empty(4))
+        assert result.matches(Graph.empty(4), unknown_as_nonedge=True)
+        assert not result.matches(Graph(4, [(0, 1)]), unknown_as_nonedge=True)
+
+    def test_complete_result_matches_only_its_graph(self):
+        g = path_graph(4)
+        result = decode(4, run_scheme(g, pair_scheme(4), GreedyLexPolicy()))
+        assert result.complete
+        assert result.matches(g) and result.matches(g, unknown_as_nonedge=True)
+        assert not result.matches(Graph.empty(4))
+        assert not result.matches(path_graph(5))
+
+    def test_incomplete_result_matches_with_unknowns_as_nonedges(self):
+        result = DecodeResult(4, ((0, 1),), ((2, 3),))
+        assert not result.matches(Graph(4, [(0, 1)]))
+        assert result.matches(Graph(4, [(0, 1)]), unknown_as_nonedge=True)
+        # an unknown pair that is a true edge is no match either way
+        assert not result.matches(Graph(4, [(0, 1), (2, 3)]), unknown_as_nonedge=True)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_nonedge_verdicts_are_sound(self, seed):
@@ -209,6 +224,11 @@ class TestDecodeResultFormat:
         assert decode_result_from_text(text) == result
         assert "unknown 1" in text
 
+    def test_edge_section_read_in_file_order_without_allocating(self):
+        # the header's vertex count is not allocated, as no graph is built
+        huge = DecodeResult(10**15, ((2, 3), (0, 1)), ((1, 4),))
+        assert decode_result_from_text(decode_result_to_text(huge)) == huge
+
     def test_complete_result_has_empty_unknown_section(self):
         result = DecodeResult(3, ((0, 2),), ())
         assert decode_result_to_text(result).endswith("unknown 0\n")
@@ -251,6 +271,8 @@ class TestDecodeResultFormat:
             "3 0\nunknown 1\n0 1\n1 2\n",
             "3 0\nunknown -1\n",
             "3 0\nunknown 1\n0 3\n",
+            "3 2\n0 1\n0 1\nunknown 0\n",  # repeated edge line
+            "3 0\nunknown 2\n0 1\n0 1\n",  # repeated unknown pair line
         ],
     )
     def test_malformed_text_raises_value_error(self, text):

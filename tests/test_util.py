@@ -21,11 +21,12 @@ class TestRunSeededTrials:
         assert seen == [derive_seed(17, i) for i in range(5)]
         assert results == [0, 1, 2, 3, 4]
 
-    def test_zero_trials_give_empty_list(self):
-        assert run_seeded_trials(lambda s: pytest.fail("called"), 0, seed=1) == []
+    def test_zero_trials_raise(self):
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            run_seeded_trials(lambda s: pytest.fail("called"), 0, seed=1)
 
     def test_negative_trials_raise(self):
-        with pytest.raises(ValueError, match="trials must be >= 0"):
+        with pytest.raises(ValueError, match="need trials >= 1"):
             run_seeded_trials(lambda s: s, -1, seed=1)
 
 
