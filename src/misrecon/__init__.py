@@ -11,7 +11,6 @@ query-complexity bounds at small scale.
 from .graphs import (
     AdversarialFamilyDesc,
     Graph,
-    VertexSet,
     gen_bounded_degree,
     sample_clique_family,
     sample_blocked_clique_family,
@@ -29,7 +28,6 @@ __all__ = [
     "QueryScheme",
     "SetFamily",
     "Transcript",
-    "VertexSet",
     "cff_scheme",
     "consistency_check",
     "decode",

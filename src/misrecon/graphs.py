@@ -22,40 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .util import CapExceededError, iter_bits, mask_from_members, shuffle
+from .util import CapExceededError, iter_bits, mask_from_members, member_tuple, shuffle
 
 DEFAULT_ENUM_CAP = int(os.environ.get("MISRECON_ENUM_CAP", 10**6))
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of {0, .., n-1}, stored as a bitmask with its universe size."""
-
-    n: int
-    mask: int = 0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("universe size must be >= 0")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError("member out of universe")
-
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        members = list(members)
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"member {v} outside universe of size {n}")
-        return cls(n, mask_from_members(members))
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
-
-    def __iter__(self):
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
 
 
 class Graph:
@@ -170,6 +139,14 @@ def _require_room(n: int, delta: int) -> None:
         raise ValueError("not enough outside vertices for neighbour choices")
 
 
+def family_size(n: int, delta: int, blocked: bool) -> int:
+    """Members of a hidden-clique family on n vertices: each u in U picks its
+    free slots from the n - |U| - |W| outside vertices."""
+    u_size, w_size, slots = family_shape(delta, blocked)
+    _require_room(n, delta)
+    return math.comb(n - u_size - w_size, slots) ** u_size
+
+
 @dataclass(frozen=True)
 class AdversarialFamilyDesc:
     """Parameters of a hidden-clique graph family.
@@ -204,12 +181,10 @@ class AdversarialFamilyDesc:
         _require_room(self.n, self.delta)
         taken = self.clique | self.forced_block
         rest = [v for v in range(self.n) if not taken >> v & 1]
-        return tuple(iter_bits(self.clique)), tuple(iter_bits(self.forced_block)), rest
+        return member_tuple(self.clique), member_tuple(self.forced_block), rest
 
     def size(self) -> int:
-        """Number of family members: each u in U picks its slots from the rest."""
-        clique, _, rest = self.parts()
-        return math.comb(len(rest), self.per_clique_free_slots) ** len(clique)
+        return family_size(self.n, self.delta, self.forced_block != 0)
 
 
 def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
@@ -293,11 +268,11 @@ def draw_clique_and_block(
     """Masks of uniform disjoint U and W of the given sizes: the first u_size
     and the next w_size vertices of rng.sample(range(n), u_size + w_size)."""
     picked = rng.sample(range(n), u_size + w_size)
-    return mask_from_members(picked[:u_size]), mask_from_members(picked[u_size:])
+    return mask_from_members(n, picked[:u_size]), mask_from_members(n, picked[u_size:])
 
 
 def clique_family_size(n: int, delta: int) -> int:
-    return clique_family_desc(n, delta).size()
+    return family_size(n, delta, blocked=False)
 
 
 def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
@@ -326,7 +301,7 @@ def enumerate_family(
     # u to each chosen adj[v]
     clique, rest, base = _member_base(desc)
     per_vertex = [
-        (mask_from_members(chosen), chosen)
+        (mask_from_members(desc.n, chosen), chosen)
         for chosen in itertools.combinations(rest, desc.per_clique_free_slots)
     ]
     # a clique vertex has degree (|U|-1) + |W| + slots = delta, and any

@@ -19,11 +19,13 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .graphs import AdversarialFamilyDesc, Graph, draw_clique_and_block, family_shape
+from .graphs import (
+    AdversarialFamilyDesc, Graph, draw_clique_and_block, family_shape, family_size,
+)
 from .oracle import AdversarialCliquePolicy, run_scheme
 from .reports import BoundCheck, ExperimentReport
 from .schemes import QueryScheme
-from .util import derive_seed, mean_var_stderr, run_seeded_trials
+from .util import derive_seed, mean_var_stderr, rate_stderr, run_seeded_trials
 
 
 def _transcript_profiles(
@@ -137,8 +139,7 @@ def dq_statistics(
     hits = sum(counts) - len(counts)
     samples_hit = len(logs) * u_size
     mean_log, _, se_log = mean_var_stderr(logs)
-    p_hat = hits / samples_hit
-    se_p = math.sqrt(p_hat * (1.0 - p_hat) / samples_hit)
+    p_hat, se_p = rate_stderr(hits, samples_hit)
     log_bound = 4.0
     p_bound = 3.0 / delta
     checks = (
@@ -200,9 +201,7 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
     blocked = variant == "clique-block"
     u_size, w_size, slots = family_shape(delta, blocked)
     power = 9 if blocked else 4
-    if n - u_size - w_size < slots:
-        raise ValueError("n too small for the neighbour choices")
-    exact = math.comb(n - u_size - w_size, slots) ** u_size
+    exact = family_size(n, delta, blocked)
     binom_bound = math.comb(n - delta, u_size) ** u_size
     ratio_bound = Fraction(n - delta, u_size) ** (u_size * u_size)
     final_display = ((n - delta) / delta) ** (delta * delta / power)

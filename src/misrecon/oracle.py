@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import AdversarialFamilyDesc, Graph, VertexSet
-from .util import derive_seed, iter_bits, shuffle
+from .graphs import AdversarialFamilyDesc, Graph
+from .util import derive_seed, iter_bits, mask_from_members, member_tuple, shuffle
 
 
 class OracleError(RuntimeError):
@@ -200,10 +200,10 @@ class Transcript:
                 raise ValueError("answer not contained in its query")
 
     @property
-    def entries(self) -> tuple[tuple[VertexSet, VertexSet], ...]:
-        """The pairs as VertexSets, built from the masks on each access."""
-        n = self.n
-        return tuple((VertexSet(n, q), VertexSet(n, a)) for q, a in self.masks)
+    def entries(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Each pair's query and answer members in ascending order, built from
+        the masks on each access."""
+        return tuple((member_tuple(q), member_tuple(a)) for q, a in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -229,7 +229,7 @@ class Transcript:
                 # bool is an int subclass, and JSON true must not read as vertex 1
                 if not all(type(v) is int for v in (*q, *a)):
                     raise TypeError("transcript members must be integers")
-                pair = tuple(VertexSet.from_members(n, s).mask for s in (q, a))
+                pair = (mask_from_members(n, q), mask_from_members(n, a))
                 if pair[1] & ~pair[0]:
                     raise ValueError("answer not contained in its query")
             except (ValueError, KeyError, TypeError) as exc:

@@ -11,7 +11,6 @@ both endpoints into every MIS answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,7 @@ import numpy as np
 from .graphs import Graph, pairs_from_lines, pairs_to_text, read_graph_lines
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
-from .util import derive_seed, masks_to_bits, run_seeded_trials
+from .util import derive_seed, masks_to_bits, rate_stderr, run_seeded_trials
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,5 @@ def success_rate(
 
     outcomes = run_seeded_trials(trial, trials, seed)
     successes = sum(outcomes)
-    rate = successes / trials
-    stderr = math.sqrt(rate * (1.0 - rate) / trials)
+    rate, stderr = rate_stderr(successes, trials)
     return SuccessReport(trials=trials, successes=successes, rate=rate, stderr=stderr)

@@ -19,14 +19,11 @@ import numpy as np
 
 from . import coverfree
 from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff, read_rows
-from .graphs import (
-    Graph,
-    VertexSet,
-    enumerate_bounded_degree_graphs,
-    matching_count,
-)
+from .graphs import Graph, enumerate_bounded_degree_graphs, matching_count
 from .oracle import _check_query, is_mis  # noqa: F401  perfbench wraps schemes.is_mis
-from .util import CapExceededError, bernoulli_rows, derive_seed, iter_bits
+from .util import (
+    CapExceededError, bernoulli_rows, derive_seed, iter_bits, mask_from_members, member_tuple,
+)
 
 DEFAULT_PAIR_CAP = int(os.environ.get("MISRECON_PAIR_CAP", 5 * 10**6))
 
@@ -49,9 +46,9 @@ class QueryScheme:
             _check_query(self.n, m)
 
     @property
-    def queries(self) -> tuple[VertexSet, ...]:
-        """The queries as VertexSets, built from the masks on each access."""
-        return tuple(VertexSet(self.n, m) for m in self.masks)
+    def queries(self) -> tuple[tuple[int, ...], ...]:
+        """Each query's members in ascending order, built from the masks on each access."""
+        return tuple(member_tuple(m) for m in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -66,7 +63,7 @@ class QueryScheme:
     @classmethod
     def from_text(cls, text: str) -> "QueryScheme":
         n, rows = read_rows(text)
-        return cls(n, tuple(VertexSet.from_members(n, r).mask for r in rows))
+        return cls(n, tuple(mask_from_members(n, r) for r in rows))
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -202,7 +199,7 @@ def is_query_scheme(
     # n <= 13 for delta >= 1, and delta = 0 has one graph and no pair
     adj_t = np.array([g.adjacency_masks for g in graphs], np.int64).T.copy()
     # an empty query has the one answer {} on every graph: it separates nothing
-    queries = [(qm, tuple(iter_bits(qm))) for qm in scheme.masks if qm]
+    queries = [(qm, member_tuple(qm)) for qm in scheme.masks if qm]
     families: dict[tuple[int, tuple[int, ...]], list[tuple[list[int], int]]] = {}
     for i in range(n_graphs - 1):
         adj = graphs[i].adjacency_masks
@@ -231,15 +228,25 @@ def is_query_scheme(
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Both cover-free duality directions evaluated on one scheme."""
+    """Both cover-free duality directions evaluated on one scheme: each
+    checker's result, True or its falsy first violation."""
 
     delta: int
-    is_scheme: bool
-    scheme_witness: SchemeViolation | None
-    dual_cover_free_necessary: bool
-    necessary_witness: CoverViolation | None
-    dual_cover_free_sufficient: bool
-    sufficient_witness: CoverViolation | None
+    scheme_result: SchemeViolation | bool
+    necessary_result: CoverViolation | bool
+    sufficient_result: CoverViolation | bool
+
+    @property
+    def is_scheme(self) -> bool:
+        return bool(self.scheme_result)
+
+    @property
+    def dual_cover_free_necessary(self) -> bool:
+        return bool(self.necessary_result)
+
+    @property
+    def dual_cover_free_sufficient(self) -> bool:
+        return bool(self.sufficient_result)
 
     @property
     def necessity_holds(self) -> bool:
@@ -264,14 +271,9 @@ def duality_check(scheme: QueryScheme, delta: int) -> DualityReport:
         raise ValueError("need delta >= 1")
     scheme_result = is_query_scheme(scheme, delta)
     dual_family = scheme.dual_family()
-    necessary = is_cover_free(dual_family, 2, 2 * delta - 2)
-    sufficient = is_cover_free(dual_family, 2, 2 * delta)
     return DualityReport(
-        delta=delta,
-        is_scheme=bool(scheme_result),
-        scheme_witness=None if scheme_result else scheme_result,
-        dual_cover_free_necessary=bool(necessary),
-        necessary_witness=None if necessary else necessary,
-        dual_cover_free_sufficient=bool(sufficient),
-        sufficient_witness=None if sufficient else sufficient,
+        delta,
+        scheme_result,
+        is_cover_free(dual_family, 2, 2 * delta - 2),
+        is_cover_free(dual_family, 2, 2 * delta),
     )

@@ -23,14 +23,13 @@ from misrecon.graphs import (
     DEFAULT_ENUM_CAP,
     AdversarialFamilyDesc,
     Graph,
-    VertexSet,
     enumerate_bounded_degree_graphs,
 )
 from misrecon.lowerbounds import _chain_checks
 from misrecon.oracle import OracleError, Transcript
 from misrecon.reports import ExperimentReport
 from misrecon.schemes import QueryScheme, SchemeViolation
-from misrecon.util import CapExceededError, derive_seed, iter_bits
+from misrecon.util import CapExceededError, derive_seed, iter_bits, mask_from_members
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -268,7 +267,7 @@ def dual(f: SetFamily) -> SetFamily:
 def cff_queries(n: int, family: SetFamily) -> tuple[int, ...]:
     """The CFF scheme's query masks, query_x = {v : x in R_v}, by `x in s` scans."""
     return tuple(
-        VertexSet.from_members(n, (v for v, s in enumerate(family.sets) if x in s)).mask
+        mask_from_members(n, (v for v, s in enumerate(family.sets) if x in s))
         for x in range(family.ground_size)
     )
 
@@ -293,7 +292,7 @@ def sample_clique_family(n: int, delta: int, seed: int):
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, range(u_size)).mask,
+        clique=mask_from_members(n, range(u_size)),
     )
     return Graph(n, edges), desc
 
@@ -320,8 +319,8 @@ def sample_blocked_clique_family(n: int, delta: int, seed: int):
     desc = AdversarialFamilyDesc(
         n=n,
         delta=delta,
-        clique=VertexSet.from_members(n, clique).mask,
-        forced_block=VertexSet.from_members(n, block).mask,
+        clique=mask_from_members(n, clique),
+        forced_block=mask_from_members(n, block),
     )
     return Graph(n, edges), desc
 
@@ -363,12 +362,11 @@ def enumerate_blocked_clique_family(
     """Slot choices of the forced-block family for a fixed (U, W) of masks."""
     if delta < 3:
         raise ValueError("delta must be >= 3")
-    clique, forced_block = VertexSet(n, clique), VertexSet(n, forced_block)
-    u_members = clique.members()
-    w_members = forced_block.members()
+    u_members = tuple(iter_bits(clique))
+    w_members = tuple(iter_bits(forced_block))
     slots = delta - (len(u_members) - 1) - len(w_members)
     rest = [
-        v for v in range(n) if v not in clique and v not in forced_block
+        v for v in range(n) if not clique >> v & 1 and not forced_block >> v & 1
     ]
     if len(rest) < slots:
         raise ValueError("not enough outside vertices for neighbour choices")

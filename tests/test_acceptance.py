@@ -31,7 +31,6 @@ from misrecon.coverfree import (
     random_set_family,
 )
 from misrecon.graphs import (
-    VertexSet,
     enumerate_bounded_degree_graphs,
     enumerate_clique_family,
     gen_bounded_degree,
@@ -58,7 +57,7 @@ from misrecon.schemes import (
     random_queries,
     randomized_scheme,
 )
-from misrecon.util import derive_seed
+from misrecon.util import derive_seed, mask_from_members
 
 
 def report_line(number, passed, detail):
@@ -116,10 +115,10 @@ def test_c02_duality_implications():
             total_random += 1
         structured = [
             QueryScheme(6, tuple(
-                VertexSet.from_members(6, [u, v]).mask
+                mask_from_members(6, [u, v])
                 for u in range(6) for v in range(u + 1, 6)
             )),
-            QueryScheme(6, tuple(VertexSet.from_members(6, [v]).mask for v in range(6))),
+            QueryScheme(6, tuple(mask_from_members(6, [v]) for v in range(6))),
             QueryScheme(6, ()),
             verified_cff_scheme(6, delta),
         ]

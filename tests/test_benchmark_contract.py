@@ -20,6 +20,7 @@ import pytest
 import misrecon
 from misrecon import coverfree, oracle, reconstruct, schemes
 from misrecon.graphs import gen_bounded_degree
+from misrecon.util import iter_bits
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -69,6 +70,11 @@ def test_queries_and_answers_have_a_size(kind):
     assert [len(a) for _, a in transcript.entries] == [
         a.bit_count() for _, a in transcript.masks
     ]
+    # each view element is its mask's members in ascending order
+    assert scheme.queries == tuple(tuple(iter_bits(m)) for m in scheme.masks)
+    assert transcript.entries == tuple(
+        (tuple(iter_bits(q)), tuple(iter_bits(a))) for q, a in transcript.masks
+    )
 
 
 def test_decode_result_surface_the_workloads_read():

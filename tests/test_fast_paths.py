@@ -29,7 +29,7 @@ from misrecon.coverfree import (
     is_cover_free,
     random_set_family,
 )
-from misrecon.graphs import Graph, VertexSet, gen_bounded_degree, sample_clique_family
+from misrecon.graphs import Graph, gen_bounded_degree, sample_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
     GreedyLexPolicy,
@@ -46,6 +46,7 @@ from misrecon.util import (
     CapExceededError,
     bernoulli_rows,
     derive_seed,
+    mask_from_members,
     shuffle,
     transpose_masks,
 )
@@ -493,7 +494,7 @@ def seeded_transcript(n, t, seed):
     rng = random.Random(seed)
     entries = []
     for _ in range(t):
-        q = VertexSet.from_members(n, rng.sample(range(n), 3)).mask
+        q = mask_from_members(n, rng.sample(range(n), 3))
         entries.append((q, q & rng.getrandbits(n)))
     return Transcript(n, tuple(entries))
 
@@ -593,7 +594,7 @@ class TestIsCoverFree:
 
 
 def query_scheme(n, *queries):
-    return QueryScheme(n, tuple(VertexSet.from_members(n, q).mask for q in queries))
+    return QueryScheme(n, tuple(mask_from_members(n, q) for q in queries))
 
 
 @st.composite
@@ -688,8 +689,8 @@ def blocked_parts(draw, max_n=9):
     u_size, w_size = math.ceil(delta / 3), delta // 3
     n = draw(st.integers(u_size + w_size, max_n))
     order = draw(st.permutations(range(n)))
-    clique = VertexSet.from_members(n, order[:u_size]).mask
-    block = VertexSet.from_members(n, order[u_size : u_size + w_size]).mask
+    clique = mask_from_members(n, order[:u_size])
+    block = mask_from_members(n, order[u_size : u_size + w_size])
     return n, delta, clique, block
 
 

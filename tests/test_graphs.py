@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from misrecon.graphs import (
     AdversarialFamilyDesc,
     Graph,
-    VertexSet,
     enumerate_bounded_degree_graphs,
     enumerate_clique_family,
     enumerate_family,
@@ -29,18 +28,6 @@ from scalar_reference import induced_mis_context, max_degree
 
 def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-class TestVertexSet:
-    def test_members_roundtrip(self):
-        s = VertexSet.from_members(8, [5, 1, 3])
-        assert s.members() == (1, 3, 5)
-        assert len(s) == 3
-        assert 3 in s and 2 not in s
-
-    def test_universe_enforced(self):
-        with pytest.raises(ValueError):
-            VertexSet.from_members(3, [3])
 
 
 class TestGraph:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from misrecon.graphs import VertexSet, enumerate_clique_family, enumerate_family, clique_family_desc
+from misrecon.graphs import enumerate_clique_family, enumerate_family, clique_family_desc
 from misrecon.lowerbounds import (
     best_decoder_success,
     bound_table,
@@ -18,13 +18,14 @@ from misrecon.lowerbounds import (
     profile_count,
 )
 from misrecon.schemes import QueryScheme, random_queries
+from misrecon.util import mask_from_members
 
 
 def pair_scheme(n):
     return QueryScheme(
         n,
         tuple(
-            VertexSet.from_members(n, [u, v]).mask
+            mask_from_members(n, [u, v])
             for u in range(n)
             for v in range(u + 1, n)
         ),

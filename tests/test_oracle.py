@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from misrecon.graphs import Graph, VertexSet, gen_bounded_degree, sample_clique_family, sample_blocked_clique_family
+from misrecon.graphs import Graph, gen_bounded_degree, sample_clique_family, sample_blocked_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
     GreedyLexPolicy,
@@ -20,7 +20,7 @@ from misrecon.oracle import (
     run_scheme,
 )
 from misrecon.schemes import QueryScheme, random_queries
-from misrecon.util import iter_bits
+from misrecon.util import iter_bits, mask_from_members
 
 
 def path_graph(n):
@@ -28,7 +28,7 @@ def path_graph(n):
 
 
 def vs(n, *members):
-    return VertexSet.from_members(n, members).mask
+    return mask_from_members(n, members)
 
 
 def full(n):

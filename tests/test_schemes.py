@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from misrecon.coverfree import SetFamily, is_cover_free
-from misrecon.graphs import Graph, VertexSet, enumerate_bounded_degree_graphs
+from misrecon.coverfree import CoverViolation, SetFamily, is_cover_free
+from misrecon.graphs import Graph, enumerate_bounded_degree_graphs
 from misrecon.schemes import (
     QueryScheme,
     SchemeConstructionError,
@@ -17,7 +17,7 @@ from misrecon.schemes import (
     random_queries,
     randomized_scheme,
 )
-from misrecon.util import CapExceededError, derive_seed
+from misrecon.util import CapExceededError, derive_seed, mask_from_members
 from scalar_reference import common_mis
 
 
@@ -25,7 +25,7 @@ def pair_scheme(n):
     return QueryScheme(
         n,
         tuple(
-            VertexSet.from_members(n, [u, v]).mask
+            mask_from_members(n, [u, v])
             for u in range(n)
             for v in range(u + 1, n)
         ),
@@ -174,6 +174,7 @@ class TestDualityCheck:
         assert report.dual_cover_free_necessary
         assert report.dual_cover_free_sufficient
         assert report.ok
+        assert report.scheme_result is report.necessary_result is report.sufficient_result is True
 
     def test_singleton_scheme_fails_both_sides(self):
         report = duality_check(singleton_scheme(5), 1)
@@ -182,6 +183,11 @@ class TestDualityCheck:
         assert not report.dual_cover_free_necessary
         assert not report.dual_cover_free_sufficient
         assert report.ok  # implications hold vacuously
+        # each checker's first violation is kept as its result
+        assert isinstance(report.scheme_result, SchemeViolation)
+        assert isinstance(report.necessary_result, CoverViolation)
+        assert isinstance(report.sufficient_result, CoverViolation)
+        assert report.is_scheme is False and report.dual_cover_free_necessary is False
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_sweep_no_violations(self, seed):
@@ -198,15 +204,22 @@ class TestDualityCheck:
         assert report.dual_cover_free_necessary
         assert report.ok
 
+    def test_necessary_and_sufficient_results_kept_apart(self):
+        # every two duals meet, so the dual is (2,0)- but not (2,2)-cover-free
+        report = duality_check(random_queries(5, 6, 0.7, seed=1), 1)
+        assert report.necessary_result is True
+        assert isinstance(report.sufficient_result, CoverViolation)
+        assert not report.is_scheme and report.ok
+
 
 class TestSchemeFiles:
     def test_round_trip_with_empty_query(self):
         scheme = QueryScheme(
             5,
             (
-                VertexSet.from_members(5, [0, 4]).mask,
+                mask_from_members(5, [0, 4]),
                 0,
-                VertexSet.from_members(5, [1, 2, 3]).mask,
+                mask_from_members(5, [1, 2, 3]),
             ),
         )
         text = scheme.to_text()

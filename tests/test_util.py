@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misrecon import util
-from misrecon.util import bits_to_masks, derive_seed, masks_to_bits, run_seeded_trials
+from misrecon.util import (
+    bits_to_masks,
+    derive_seed,
+    mask_from_members,
+    masks_to_bits,
+    run_seeded_trials,
+)
 
 
 class TestRunSeededTrials:
@@ -28,6 +34,37 @@ class TestRunSeededTrials:
     def test_negative_trials_raise(self):
         with pytest.raises(ValueError, match="need trials >= 1"):
             run_seeded_trials(lambda s: s, -1, seed=1)
+
+
+class TestMaskFromMembers:
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(0, 80), data=st.data())
+    def test_or_of_member_bits(self, n, data):
+        members = data.draw(st.lists(st.integers(0, n - 1), max_size=12) if n else st.just([]))
+        want = 0
+        for v in members:
+            want |= 1 << v
+        assert mask_from_members(n, members) == want
+        # any iterable, consumed once
+        assert mask_from_members(n, iter(members)) == want
+        assert mask_from_members(n, tuple(members)) == want
+        assert mask_from_members(n, set(members)) == want
+
+    @settings(deadline=None, max_examples=100)
+    @given(n=st.integers(0, 40), data=st.data())
+    def test_member_outside_universe_named(self, n, data):
+        ok = data.draw(st.lists(st.integers(0, n - 1), max_size=5) if n else st.just([]))
+        bad = data.draw(st.sampled_from([-1, n, n + 7]))
+        with pytest.raises(ValueError, match=rf"^member {bad} outside universe of size {n}$"):
+            mask_from_members(n, [*ok, bad, 0])
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_universe_refused(self, n):
+        with pytest.raises(ValueError, match=r"^universe size must be >= 0$"):
+            mask_from_members(n, [])
+        # a member is named first: no member lies in a negative universe
+        with pytest.raises(ValueError, match=rf"^member 0 outside universe of size {n}$"):
+            mask_from_members(n, [0])
 
 
 @st.composite
