@@ -16,7 +16,7 @@ from .graphs import (
     sample_blocked_clique_family,
 )
 from .coverfree import CffParams, SetFamily, dual, exact_t, is_cover_free, random_cff
-from .oracle import Transcript, greedy_mis, is_mis, random_mis, run_scheme
+from .oracle import Transcript, is_mis, run_scheme
 from .reconstruct import DecodeResult, consistency_check, decode, success_rate
 from .schemes import QueryScheme, cff_scheme, duality_check, is_query_scheme, randomized_scheme
 
@@ -35,12 +35,10 @@ __all__ = [
     "duality_check",
     "exact_t",
     "gen_bounded_degree",
-    "greedy_mis",
     "is_cover_free",
     "is_mis",
     "is_query_scheme",
     "random_cff",
-    "random_mis",
     "randomized_scheme",
     "run_scheme",
     "sample_clique_family",

@@ -356,6 +356,10 @@ def main(argv=None) -> int:
     except (ValueError, CffConstructionError, SchemeConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        # a parameter whose arithmetic leaves the float or C integer range
+        print(f"error: parameter too large: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception:
         # a fault of the program, not of its input: keep it apart from
         # exit 1, which means a bound was violated

@@ -56,21 +56,6 @@ class Graph:
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
     @classmethod
-    def from_adjacency_masks(cls, masks: tuple[int, ...]) -> "Graph":
-        """The graph with adjacency masks[v] for each v, stored as given."""
-        n = len(masks)
-        for u, m in enumerate(masks):
-            if m < 0 or m >> n:
-                raise ValueError(f"adjacency mask of vertex {u} outside vertex range")
-            if m >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-            for v in iter_bits(m):
-                if not masks[v] >> u & 1:
-                    raise ValueError(f"edge ({u},{v}) missing from vertex {v}'s mask")
-        delta = max((m.bit_count() for m in masks), default=0)
-        return cls._from_masks(tuple(masks), delta)
-
-    @classmethod
     def _from_masks(cls, masks: tuple[int, ...], delta: int) -> "Graph":
         """The graph of valid adjacency masks with maximum degree delta,
         unchecked: callers vouch for both."""
@@ -363,7 +348,7 @@ def enumerate_bounded_degree_graphs(
         if i == len(pairs):
             if len(out) >= cap:
                 raise CapExceededError(f"graph enumeration exceeds cap {cap}")
-            out.append(Graph.from_adjacency_masks(tuple(adj)))
+            out.append(Graph._from_masks(tuple(adj), max(deg, default=0)))
             return
         u, v = pairs[i]
         rec(i + 1, adj, deg)

@@ -13,7 +13,7 @@ import _random
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph
 from .util import derive_seed, iter_bits, mask_from_members, member_tuple, shuffle
@@ -47,75 +47,14 @@ def is_mis(g: Graph, q: int, i: int) -> bool:
     return not covered & i and not q & ~i & ~covered
 
 
-def greedy_mis(g: Graph, q: int, order: Sequence[int]) -> int:
-    """Scan q in the given vertex order, adding a vertex iff no chosen neighbour.
-
-    `order` is a permutation of 0..n-1 (vertices outside q are skipped).
-    """
-    _check_query(g.n, q)
-    return _greedy_insert(g.adjacency_masks, [v for v in order if q >> v & 1])
-
-
 def _greedy_insert(adj: tuple[int, ...], members: Iterable[int]) -> int:
-    """greedy_mis over an order that holds only members of a checked query."""
+    """Greedy MIS over members, an order of a checked query's vertices: each
+    joins unless a chosen vertex is its neighbour."""
     mis = 0
     for v in members:
         if not adj[v] & mis:
             mis |= 1 << v
     return mis
-
-
-def random_mis(g: Graph, q: int, seed: int) -> int:
-    """Greedy MIS under a uniformly random permutation of q derived from seed.
-
-    An edgeless G[Q] has Q as its only MIS, so it is answered without seeding
-    a generator; each query's generator is private, so no other answer moves.
-    """
-    _check_query(g.n, q)
-    return _shuffled_greedy(g.adjacency_masks, q, random.Random, seed)
-
-
-def _shuffled_greedy(
-    adj: tuple[int, ...], q: int, seeded: Callable[[int], random.Random], key: int
-) -> int:
-    """Q if G[Q] is edgeless, else greedy over the members of the checked
-    query q, shuffled by the generator seeded(key)."""
-    # iter_bits inlined twice: most queries of an exhaustive sweep end in
-    # the first loop, and every random-MIS answer passes through here
-    rest = q
-    while rest:
-        low = rest & -rest
-        if adj[low.bit_length() - 1] & q:
-            break
-        rest ^= low
-    else:
-        return q
-    members = []
-    rest = q
-    while rest:
-        low = rest & -rest
-        members.append(low.bit_length() - 1)
-        rest ^= low
-    shuffle(seeded(key), members)
-    return _greedy_insert(adj, members)
-
-
-def adversarial_clique_answer(g: Graph, desc: AdversarialFamilyDesc, q: int) -> int:
-    """Answer revealing as little as possible about the hidden clique.
-
-    Returns Q \\ U when that is already maximal; otherwise adds the
-    lowest-index clique vertex with no neighbour in Q \\ U. One of the two
-    cases always applies for members of the described family.
-    """
-    if desc.n != g.n:
-        raise ValueError("family descriptor does not match the graph's vertices")
-    outside = q & ~desc.clique
-    if is_mis(g, q, outside):
-        return outside
-    for u in iter_bits(q & desc.clique):
-        if not g.adjacency_mask(u) & outside:
-            return outside | 1 << u
-    raise OracleError("graph is not a member of the described clique family")
 
 
 class GreedyLexPolicy:
@@ -130,21 +69,26 @@ class GreedyLexPolicy:
 
 
 class GreedyOrderPolicy:
+    """Greedy MIS over a fixed order, a permutation of 0..n-1; vertices
+    outside the query are skipped."""
+
     index_free = True
 
     def __init__(self, order: Sequence[int]):
         self.order = tuple(order)
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        return greedy_mis(g, q, self.order)
+        _check_query(g.n, q)
+        return _greedy_insert(g.adjacency_masks, [v for v in self.order if q >> v & 1])
 
 
 class RandomMisPolicy:
     """Greedy under a fresh random order per query, derived from (seed, index).
 
-    Answers random_mis(g, q, derive_seed(seed, index)). One private generator
-    is reseeded in place per query with an edge; the C-level seed leaves the
-    state random.Random(seed) starts from, so no answer moves.
+    An edgeless G[Q] has Q as its only MIS and seeds no generator. Any other
+    query shuffles its members with one private generator, reseeded in place
+    with the C-level seed derive_seed(seed, index); that leaves the state
+    random.Random(seed) starts from, so each answer is a fresh generator's.
     """
 
     def __init__(self, seed: int):
@@ -153,25 +97,55 @@ class RandomMisPolicy:
 
     def answer(self, g: Graph, q: int, index: int) -> int:
         _check_query(g.n, q)
-        return _shuffled_greedy(g.adjacency_masks, q, self._reseeded, index)
-
-    def _reseeded(self, index: int) -> random.Random:
+        adj = g.adjacency_masks
+        # iter_bits inlined twice: most queries of an exhaustive sweep end in
+        # the first loop, and every random-MIS answer passes through here
+        rest = q
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & q:
+                break
+            rest ^= low
+        else:
+            return q
+        members = []
+        rest = q
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
         seed = derive_seed(self.seed, index)
         if self._rng is None:
             self._rng = random.Random(seed)
         else:
             _random.Random.seed(self._rng, seed)
-        return self._rng
+        shuffle(self._rng, members)
+        return _greedy_insert(adj, members)
 
 
 class AdversarialCliquePolicy:
+    """Answer revealing as little as possible about the hidden clique U.
+
+    Returns Q \\ U when that is already maximal; otherwise adds the
+    lowest-index clique vertex with no neighbour in Q \\ U. One of the two
+    cases always applies for members of the described family.
+    """
+
     index_free = True
 
     def __init__(self, desc: AdversarialFamilyDesc):
         self.desc = desc
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        return adversarial_clique_answer(g, self.desc, q)
+        if self.desc.n != g.n:
+            raise ValueError("family descriptor does not match the graph's vertices")
+        outside = q & ~self.desc.clique
+        if is_mis(g, q, outside):
+            return outside
+        for u in iter_bits(q & self.desc.clique):
+            if not g.adjacency_mask(u) & outside:
+                return outside | 1 << u
+        raise OracleError("graph is not a member of the described clique family")
 
 
 def make_policy(kind: str, seed: int | None = None):

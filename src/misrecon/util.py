@@ -82,6 +82,11 @@ def shuffle(rng: random.Random, x: MutableSequence) -> None:
 # rows drawn per block, which bounds the temporaries of bernoulli_rows
 _DRAW_ROWS = 16
 
+# bits one bernoulli_rows call may draw, each row counted as at least 64 for
+# its int object: 2^30 bits are 128 MiB of masks, 50 times the largest
+# default draw (the n=200 CFF family, 200 sets over 101,711 elements)
+DRAW_CAP_BITS = 1 << 30
+
 
 def _random_keys(rng: random.Random, m: int) -> np.ndarray:
     """The 53-bit integers k with k * 2**-53 equal to the next m rng.random().
@@ -99,7 +104,13 @@ def _random_keys(rng: random.Random, m: int) -> np.ndarray:
 def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[int]:
     """rows masks of width bits; bit j of row i is set when the (i*width + j)-th
     next rng.random() is below p. For 0 <= p <= 1 the masks, and rng's state
-    afterwards, are exactly those of making that many random() calls."""
+    afterwards, are exactly those of making that many random() calls.
+    CapExceededError, before any draw, when rows * max(width, 64) exceeds
+    DRAW_CAP_BITS."""
+    if rows * max(width, 64) > DRAW_CAP_BITS:
+        raise CapExceededError(
+            f"random draw of {rows} rows of {width} bits exceeds cap {DRAW_CAP_BITS} bits"
+        )
     # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
     threshold = math.ceil(p * 2**53)
     masks = []

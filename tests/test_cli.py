@@ -101,15 +101,25 @@ class TestReconstruct:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("c", ["inf", "nan", "0"])
-    def test_bad_query_constant_exits_two(self, c, capsys):
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            ("inf", "query-count constant must be positive and finite"),
+            ("nan", "query-count constant must be positive and finite"),
+            ("0", "query-count constant must be positive and finite"),
+            # finite, but the query count c * delta^2 * ln n is not
+            ("1e308", "parameter too large: cannot convert float infinity to integer"),
+        ],
+        ids=["inf", "nan", "0", "1e308"],
+    )
+    def test_bad_query_constant_exits_two(self, c, message, capsys):
         code, stdout, err = run_cli(
             ["reconstruct", "--n", "20", "--delta", "3",
              "--scheme-kind", "randomized", "--c", c, "--seed", "1"],
             capsys,
         )
         assert code == 2
-        assert "query-count constant must be positive and finite" in err
+        assert message in err
         assert "Traceback" not in err and not stdout
 
     def test_transcript_output(self, tmp_path, capsys):
@@ -235,6 +245,15 @@ class TestExperimentDispatch:
             # named after the scheme, not the dual family built from it
             (["duality", "--n", "0", "--delta", "1", "--queries", "1",
               "--seed", "1"], "need a scheme over n >= 2 vertices, got n = 0"),
+            # numbers whose float or C-integer arithmetic overflows
+            (["family-count", "--n", "100000", "--delta", "50"], "parameter too large"),
+            (["family-count", "--n", str(10**400), "--delta", "2"], "parameter too large"),
+            (["bound-table", "--n-list", str(10**400), "--delta-list", "1"],
+             "parameter too large"),
+            (["dq-stats", "--n", str(10**45), "--delta", "3", "--trials", "2",
+              "--seed", "1"], "parameter too large"),
+            (["alpha-bound", "--w", str(10**400), "--r", "1", "--grid", "10"],
+             "parameter too large"),
         ],
     )
     def test_negative_parameter_exits_two(self, args, message, capsys):
@@ -329,6 +348,24 @@ class TestExperimentDispatch:
         )
         assert code == 2
         assert err == f"error: {message}\n" and not stdout
+
+    @pytest.mark.parametrize(
+        "args, draw",
+        [
+            (["reconstruct", "--n", "10", "--delta", "3", "--seed", "1",
+              "--scheme-kind", "randomized", "--c", "1e300"], "rows of 10 bits"),
+            (["experiment", "profile-count", "--n", "8", "--delta", "2", "--seed", "1",
+              "--queries", "100000000"], "100000000 rows of 8 bits"),
+        ],
+    )
+    def test_oversized_draw_is_refused_up_front(self, args, draw, capsys):
+        # uncapped, the first runs out of memory and the second grows for minutes
+        start = time.perf_counter()
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 3 and not stdout
+        assert err.startswith("capacity exceeded: random draw of ")
+        assert err.endswith(f"{draw} exceeds cap 1073741824 bits\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_grid_over_cap_is_refused_up_front(self, capsys):
         # uncapped, np.linspace asks for 7.45 GiB

@@ -38,7 +38,6 @@ from misrecon.oracle import (
     RandomMisPolicy,
     Transcript,
     is_mis,
-    random_mis,
     run_scheme,
 )
 from misrecon.schemes import QueryScheme
@@ -55,6 +54,9 @@ from misrecon.util import (
 checked = settings(deadline=None, max_examples=150)
 
 SEEDS = st.integers(0, 2**64 - 1)
+
+# query indices of a scheme
+INDICES = st.integers(0, 10**6)
 
 
 @st.composite
@@ -131,6 +133,19 @@ class TestBernoulliRows:
         for p in (first, math.nextafter(first, 1.0)):
             assert bernoulli_rows(random.Random(seed), 1, 1, p) == [int(first < p)]
 
+    @pytest.mark.parametrize("cap", [64, 8192])
+    def test_draw_over_cap_refused_before_any_draw(self, monkeypatch, cap):
+        # each row counts max(width, 64) bits, so a narrow row costs 64
+        monkeypatch.setattr(util, "DRAW_CAP_BITS", cap)
+        rng = random.Random(3)
+        state = rng.getstate()
+        for rows, width in ((cap // 64, 64), (cap // 64, 0), (1, cap), (0, 10**9)):
+            assert len(bernoulli_rows(random.Random(3), rows, width, 0.5)) == rows
+        for rows, width in ((cap // 64 + 1, 64), (cap // 64 + 1, 1), (1, cap + 1), (2, cap)):
+            with pytest.raises(CapExceededError, match=f"exceeds cap {cap} bits"):
+                bernoulli_rows(rng, rows, width, 0.5)
+            assert rng.getstate() == state
+
     def test_import_does_not_load_numpy_random(self):
         # the drawer exists so that numpy.random (several MB) stays unloaded
         result = subprocess.run(
@@ -182,11 +197,14 @@ class TestIsMis:
 
 class TestGreedyAnswers:
     @checked
-    @given(data=st.data(), seed=SEEDS)
-    def test_random_mis_equals_shuffle_then_greedy(self, data, seed):
+    @given(data=st.data(), seed=SEEDS, indices=st.lists(INDICES, min_size=1, max_size=4))
+    def test_random_mis_equals_shuffle_then_greedy(self, data, seed, indices):
+        # one policy answers every index, so its generator is reseeded in place
         g = data.draw(graphs())
-        q = data.draw(subsets(g.n))
-        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed)
+        policy, reference = RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
+        for index in indices:
+            q = data.draw(subsets(g.n))
+            assert policy.answer(g, q, index) == reference.answer(g, q, index)
 
     @checked
     @given(data=st.data(), index=st.integers(0, 100))
@@ -227,35 +245,39 @@ def query_with_inner_edges(draw, inner_edges, min_q=0, max_q=12):
     return Graph(n, edges), qmask
 
 
+def random_answer(case, seed, index):
+    """The random-MIS policy's answer to the case's query, after checking it
+    against the reference policy's."""
+    g, q = case
+    answer = RandomMisPolicy(seed).answer(g, q, index)
+    assert answer == ref.RandomMisPolicy(seed).answer(g, q, index)
+    return answer
+
+
 class TestEdgelessShortcut:
-    """random_mis answers an edgeless G[Q] with Q itself and seeds nothing;
-    every other query keeps the seeded shuffle."""
+    """The random-MIS policy answers an edgeless G[Q] with Q itself and seeds
+    nothing; every other query keeps the seeded shuffle."""
 
     @checked
-    @given(case=query_with_inner_edges(no_inner_edge, max_q=1), seed=SEEDS)
-    def test_at_most_one_vertex(self, case, seed):
-        g, q = case
-        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed) == q
+    @given(case=query_with_inner_edges(no_inner_edge, max_q=1), seed=SEEDS, index=INDICES)
+    def test_at_most_one_vertex(self, case, seed, index):
+        assert random_answer(case, seed, index) == case[1]
 
     @checked
-    @given(case=query_with_inner_edges(no_inner_edge, min_q=2), seed=SEEDS)
-    def test_independent_query(self, case, seed):
-        g, q = case
-        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed) == q
+    @given(case=query_with_inner_edges(no_inner_edge, min_q=2), seed=SEEDS, index=INDICES)
+    def test_independent_query(self, case, seed, index):
+        assert random_answer(case, seed, index) == case[1]
 
     @checked
-    @given(case=query_with_inner_edges(one_inner_edge, min_q=2), seed=SEEDS)
-    def test_one_edge_inside_query(self, case, seed):
-        g, q = case
-        answer = random_mis(g, q, seed)
-        assert answer == ref.random_mis(g, q, seed)
-        assert answer.bit_count() == q.bit_count() - 1
+    @given(case=query_with_inner_edges(one_inner_edge, min_q=2), seed=SEEDS, index=INDICES)
+    def test_one_edge_inside_query(self, case, seed, index):
+        answer = random_answer(case, seed, index)
+        assert answer.bit_count() == case[1].bit_count() - 1
 
     @checked
-    @given(case=query_with_inner_edges(dense_inner_edges, min_q=2), seed=SEEDS)
-    def test_dense_induced_subgraph(self, case, seed):
-        g, q = case
-        assert random_mis(g, q, seed) == ref.random_mis(g, q, seed)
+    @given(case=query_with_inner_edges(dense_inner_edges, min_q=2), seed=SEEDS, index=INDICES)
+    def test_dense_induced_subgraph(self, case, seed, index):
+        random_answer(case, seed, index)
 
     def test_edgeless_queries_seed_no_generator(self, monkeypatch):
         def refuse(seed):
@@ -267,12 +289,13 @@ class TestEdgelessShortcut:
         scheme = QueryScheme(6, tuple(masks))
         transcript = run_scheme(g, scheme, RandomMisPolicy(7))
         assert [a for _, a in transcript.masks] == list(scheme.masks)
+        # the generator is made at the first query with an edge
         with pytest.raises(AssertionError, match="seeded a generator"):
-            random_mis(g, 0b11, 7)
+            RandomMisPolicy(7).answer(g, 0b11, 0)
 
     def test_universe_mismatch_is_value_error(self):
         with pytest.raises(ValueError, match="outside vertices 0..2"):
-            random_mis(Graph.empty(3), 0b11000, 0)
+            RandomMisPolicy(0).answer(Graph.empty(3), 0b11000, 0)
 
 
 # lengths where the bit length of the draw bound changes: 2^k - 1, 2^k, 2^k + 1
@@ -671,11 +694,11 @@ def outcome(fn, *args):
 
 
 def _validated(members):
-    """(member, max degree) of each member, after checking that
-    Graph.from_adjacency_masks accepts its masks and rebuilds it exactly."""
+    """(member, max degree) of each member, after checking that the checked
+    edge-list constructor rebuilds it and its maximum degree exactly."""
     out = []
     for g in members:
-        again = Graph.from_adjacency_masks(g.adjacency_masks)
+        again = Graph(g.n, g.edges)
         assert (again, again.delta, again.n) == (g, g.delta, g.n)
         out.append((g, g.delta))
     return out

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import misrecon
 from misrecon.graphs import Graph, gen_bounded_degree, sample_clique_family, sample_blocked_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
@@ -12,11 +13,8 @@ from misrecon.oracle import (
     OracleError,
     RandomMisPolicy,
     Transcript,
-    adversarial_clique_answer,
-    greedy_mis,
     is_mis,
     make_policy,
-    random_mis,
     run_scheme,
 )
 from misrecon.schemes import QueryScheme, random_queries
@@ -33,6 +31,20 @@ def vs(n, *members):
 
 def full(n):
     return (1 << n) - 1
+
+
+def greedy(g, q, order):
+    return GreedyOrderPolicy(order).answer(g, q, 0)
+
+
+def adversarial(g, desc, q):
+    return AdversarialCliquePolicy(desc).answer(g, q, 0)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(misrecon.__all__)) == len(misrecon.__all__)
+    for name in misrecon.__all__:
+        assert getattr(misrecon, name) is not None, name
 
 
 class TestIsMis:
@@ -55,37 +67,39 @@ class TestIsMis:
 
 class TestGreedyMis:
     def test_triangle_ascending_takes_first(self):
-        assert greedy_mis(Graph.complete(3), full(3), range(3)) == vs(3, 0)
+        assert greedy(Graph.complete(3), full(3), range(3)) == vs(3, 0)
 
     def test_empty_query(self):
-        assert greedy_mis(path_graph(4), 0, range(4)) == 0
+        assert greedy(path_graph(4), 0, range(4)) == 0
 
     def test_independent_query_returned_whole(self):
-        assert greedy_mis(path_graph(3), vs(3, 0, 2), range(3)) == vs(3, 0, 2)
+        assert greedy(path_graph(3), vs(3, 0, 2), range(3)) == vs(3, 0, 2)
 
     def test_deterministic(self):
         g = gen_bounded_degree(30, 5, 0.7, seed=1)
         q = vs(30, *range(0, 30, 2))
-        assert greedy_mis(g, q, range(30)) == greedy_mis(g, q, range(30))
+        assert greedy(g, q, range(30)) == greedy(g, q, range(30))
 
     def test_order_respected(self):
-        assert greedy_mis(Graph.complete(3), full(3), [2, 1, 0]) == vs(3, 2)
+        assert greedy(Graph.complete(3), full(3), [2, 1, 0]) == vs(3, 2)
 
 
 class TestRandomMis:
     def test_clique_answer_is_singleton(self):
-        ans = random_mis(Graph.complete(4), full(4), seed=5)
+        ans = RandomMisPolicy(5).answer(Graph.complete(4), full(4), 0)
         assert ans.bit_count() == 1
 
     def test_no_edges_returns_query(self):
-        assert random_mis(Graph.empty(6), vs(6, 1, 3, 5), seed=0) == vs(6, 1, 3, 5)
+        assert RandomMisPolicy(0).answer(Graph.empty(6), vs(6, 1, 3, 5), 0) == vs(6, 1, 3, 5)
 
     def test_triangle_distribution_uniform(self):
-        # symmetry of a uniform permutation: each singleton wins 1/3 of seeds
+        # symmetry of a uniform permutation: each singleton wins 1/3 of the
+        # query indices, each answered by the one generator reseeded in place
         counts = {0: 0, 1: 0, 2: 0}
         trials = 3000
-        for seed in range(trials):
-            ans = random_mis(Graph.complete(3), full(3), seed=seed)
+        policy = RandomMisPolicy(5)
+        for index in range(trials):
+            ans = policy.answer(Graph.complete(3), full(3), index)
             counts[ans.bit_length() - 1] += 1
         for v in range(3):
             assert abs(counts[v] / trials - 1 / 3) < 0.05
@@ -95,18 +109,18 @@ class TestAdversarialAnswer:
     def test_query_outside_clique_returned_whole(self):
         g, desc = sample_clique_family(9, 2, seed=3)
         q = full(9) & ~desc.clique
-        assert adversarial_clique_answer(g, desc, q) == q
+        assert adversarial(g, desc, q) == q
 
     def test_query_equal_to_clique_gives_lowest_vertex(self):
         g, desc = sample_clique_family(10, 4, seed=8)  # |U| = 2
         assert desc.clique.bit_count() >= 2
-        ans = adversarial_clique_answer(g, desc, desc.clique)
+        ans = adversarial(g, desc, desc.clique)
         assert ans == vs(10, min(iter_bits(desc.clique)))
 
     def test_block_query_forces_outside_answer(self):
         g, desc = sample_blocked_clique_family(12, 3, seed=6)
         q = full(12)
-        ans = adversarial_clique_answer(g, desc, q)
+        ans = adversarial(g, desc, q)
         assert ans == q & ~desc.clique
 
     @pytest.mark.parametrize("seed", range(50))
@@ -114,7 +128,7 @@ class TestAdversarialAnswer:
         g, desc = sample_clique_family(11, 3, seed=seed)
         rng = random.Random(seed)
         q = rng.getrandbits(11)
-        ans = adversarial_clique_answer(g, desc, q)
+        ans = adversarial(g, desc, q)
         assert is_mis(g, q, ans)
         assert (ans & desc.clique).bit_count() <= 1
 
@@ -165,9 +179,6 @@ class TestRunScheme:
         g, desc = sample_clique_family(9, 2, seed=0)
         entry_points = [
             lambda: is_mis(g, q, 0),
-            lambda: greedy_mis(g, q, range(9)),
-            lambda: random_mis(g, q, seed=1),
-            lambda: adversarial_clique_answer(g, desc, q),
             lambda: GreedyLexPolicy().answer(g, q, 0),
             lambda: GreedyOrderPolicy(range(9)).answer(g, q, 0),
             lambda: RandomMisPolicy(1).answer(g, q, 0),
