@@ -21,7 +21,6 @@ from typing import Iterable
 from . import coverfree, lowerbounds, reconstruct
 from .coverfree import CffConstructionError, CffParams, SetFamily, random_set_family
 from .graphs import (
-    DEFAULT_ENUM_CAP,
     Graph,
     gen_bounded_degree,
     graph_from_text,
@@ -179,7 +178,7 @@ def _bound_table(args) -> ExperimentReport:
 def _profile_count(args) -> ExperimentReport:
     scheme = random_queries(args.n, args.queries, args.p, derive_seed(args.seed, 1))
     desc = clique_family_desc(args.n, args.delta)
-    family = enumerate_clique_family(args.n, args.delta, cap=args.enum_cap)
+    family = enumerate_clique_family(args.n, args.delta)
     return lowerbounds.profile_count(scheme, family, desc)
 
 
@@ -246,7 +245,7 @@ REQUIRED = object()  # the row default of a flag that must be given
 # not listed takes a string, and build_parser sets --family per table
 _FLAGS = {
     **{f: {"type": int} for f in ("n", "delta", "seed", "w", "r", "s", "t-max", "grid",
-                                  "queries", "trials", "sets", "ground", "enum-cap")},
+                                  "queries", "trials", "sets", "ground")},
     **{f: {"type": float} for f in ("density", "c", "p")},
     **{f: {"action": "store_true"} for f in ("json", "complete-as-nonedge")},
     "threads": {"type": int, "help": "accepted for compatibility; trials run in one thread"},
@@ -279,7 +278,7 @@ _SET_FAMILY = {"family": None, "sets": None, "ground": None, "density": 0.5, "w"
 _EXPERIMENTS = {
     "profile-count": ("transcripts over a hidden-clique family", _profile_count, {
         "n": REQUIRED, "delta": REQUIRED, "queries": 1, "p": 0.5, "seed": REQUIRED,
-        "threads": 1, "enum-cap": DEFAULT_ENUM_CAP, **_REPORT}),
+        "threads": 1, **_REPORT}),
     "dq-stats": ("answer counts for random hidden cliques", _dq_stats, {
         "n": REQUIRED, "delta": REQUIRED, "queries": 1, "p": None, "trials": 1000,
         "seed": REQUIRED, "threads": 1, **_REPORT}),

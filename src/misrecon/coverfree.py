@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -38,8 +37,8 @@ from .util import (
     transpose_masks,
 )
 
-DEFAULT_CHECK_CAP = int(os.environ.get("MISRECON_CHECK_CAP", 5 * 10**6))
-DEFAULT_SEARCH_CAP = int(os.environ.get("MISRECON_SEARCH_CAP", 10**7))
+CHECK_CAP = 5 * 10**6
+SEARCH_CAP = 10**7
 # a larger ground set is refused before anything per element is allocated:
 # dual's mask per element, or random_set_family's blocks of up to 16 rows
 GROUND_CAP = 10**6
@@ -162,7 +161,12 @@ def dual(f: SetFamily) -> SetFamily:
     return SetFamily(f.n, tuple(transpose_masks(f.masks, f.ground_size)))
 
 
-def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
+def check_size(n: int, w: int, r: int) -> int:
+    """Index combinations is_cover_free walks for n >= w sets (r clamped to n - w)."""
+    return math.comb(n, w) * math.comb(n - w, min(r, n - w))
+
+
+def is_cover_free(f: SetFamily, w: int, r: int):
     """Exhaustive (w,r)-cover-freeness check.
 
     Returns True, or the first CoverViolation in index-combination order.
@@ -175,13 +179,12 @@ def is_cover_free(f: SetFamily, w: int, r: int, cap: int = DEFAULT_CHECK_CAP):
         raise ValueError("need w >= 1 and r >= 0")
     if w > n:
         raise ValueError(f"w = {w} exceeds family size {n}")
+    work = check_size(n, w, r)
+    if work > CHECK_CAP:
+        raise CapExceededError(f"check size {work} exceeds cap {CHECK_CAP}")
     # with no covering sets available the empty union still covers the empty
     # set, so the r = 0 convention applies whether requested or clamped
-    r_eff = min(r, n - w)
-    work = math.comb(n, w) * math.comb(n - w, r_eff)
-    if work > cap:
-        raise CapExceededError(f"check size {work} exceeds cap {cap}")
-    cover = _first_cover(f.masks, w, r_eff)
+    cover = _first_cover(f.masks, w, min(r, n - w))
     if cover is None:
         return True
     a_idx, b_idx, inter = cover
@@ -266,14 +269,12 @@ def random_set_family(
     )
 
 
-def exact_t(
-    n: int, w: int, r: int, t_max: int, cap: int = DEFAULT_SEARCH_CAP
-) -> int | None:
+def exact_t(n: int, w: int, r: int, t_max: int) -> int | None:
     """Smallest ground size admitting a (w,r)-cover-free family with n distinct sets.
 
     Exhaustive search over all n-subsets of the power set for each candidate
     ground size; None when no family exists up to t_max. Measured on a 2-core
-    VM with t_max = 6 and the default cap: (n, w, r) = (4, 2, 2) finds 6 in
+    VM with t_max = 6 and SEARCH_CAP: (n, w, r) = (4, 2, 2) finds 6 in
     1.1 s; (5, 2, 2) searches every t <= 6 in 27 s and finds none; (6, 1, 2),
     (6, 2, 2) and (7, 1, 2) exceed the cap at t = 6 after 3.0-10 s.
     """
@@ -288,11 +289,11 @@ def exact_t(
         if 2**t < n:
             continue
         visited += math.comb(2**t, n)
-        if visited > cap:
+        if visited > SEARCH_CAP:
             # the search stops at the first admitting t, so only charge
             # ground sizes actually visited
             raise CapExceededError(
-                f"search space through t={t} is {visited}, exceeds cap {cap}"
+                f"search space through t={t} is {visited}, exceeds cap {SEARCH_CAP}"
             )
         for combo in itertools.combinations(range(2**t), n):
             if _first_cover(combo, w, r) is None:

@@ -17,14 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .util import CapExceededError, iter_bits, mask_from_members, member_tuple, shuffle
 
-DEFAULT_ENUM_CAP = int(os.environ.get("MISRECON_ENUM_CAP", 10**6))
+ENUM_CAP = 10**6
 
 
 class Graph:
@@ -270,18 +269,16 @@ def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
     )
 
 
-def enumerate_family(
-    desc: AdversarialFamilyDesc, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Graph]:
+def enumerate_family(desc: AdversarialFamilyDesc) -> Iterator[Graph]:
     """Yield every member of the described family exactly once.
 
     Members come in the order of itertools.product over the clique vertices,
     ascending, of their slot choices; enumeration is refused when the member
-    count exceeds cap.
+    count exceeds ENUM_CAP.
     """
     size = desc.size()
-    if size > cap:
-        raise CapExceededError(f"family size {size} exceeds cap {cap}")
+    if size > ENUM_CAP:
+        raise CapExceededError(f"family size {size} exceeds cap {ENUM_CAP}")
     # each member adds, for every u in U, its chosen neighbours to adj[u] and
     # u to each chosen adj[v]
     clique, rest, base = _member_base(desc)
@@ -301,15 +298,13 @@ def enumerate_family(
         yield Graph._from_masks(tuple(adj), delta)
 
 
-def enumerate_clique_family(
-    n: int, delta: int, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[Graph]:
+def enumerate_clique_family(n: int, delta: int) -> Iterator[Graph]:
     """Yield every hidden-clique family member exactly once.
 
     The member count equals binom(n-|U|, delta-|U|+1)^|U|; enumeration is
-    refused when that count exceeds cap.
+    refused when that count exceeds ENUM_CAP.
     """
-    yield from enumerate_family(clique_family_desc(n, delta), cap)
+    yield from enumerate_family(clique_family_desc(n, delta))
 
 
 def matching_count(n: int, limit: int) -> int:
@@ -328,26 +323,24 @@ def matching_count(n: int, limit: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def enumerate_bounded_degree_graphs(
-    n: int, delta: int, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[Graph, ...]:
+def enumerate_bounded_degree_graphs(n: int, delta: int) -> tuple[Graph, ...]:
     """All labelled graphs on n vertices with max degree <= delta.
 
     Enumeration order is by edge-subset recursion over the lexicographically
     sorted candidate edges, so the output order is reproducible. The last four
-    results are memoised and shared, hence tuples; over the cap it raises.
+    results are memoised and shared, hence tuples; over ENUM_CAP it raises.
     """
     # every matching is enumerated when delta >= 1: over the cap, refuse
     # before recursing
-    if delta >= 1 and matching_count(n, cap) > cap:
-        raise CapExceededError(f"graph enumeration exceeds cap {cap}")
+    if delta >= 1 and matching_count(n, ENUM_CAP) > ENUM_CAP:
+        raise CapExceededError(f"graph enumeration exceeds cap {ENUM_CAP}")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[Graph] = []
 
     def rec(i: int, adj: list[int], deg: list[int]):
         if i == len(pairs):
-            if len(out) >= cap:
-                raise CapExceededError(f"graph enumeration exceeds cap {cap}")
+            if len(out) >= ENUM_CAP:
+                raise CapExceededError(f"graph enumeration exceeds cap {ENUM_CAP}")
             out.append(Graph._from_masks(tuple(adj), max(deg, default=0)))
             return
         u, v = pairs[i]

@@ -10,7 +10,6 @@ checked here by brute force at desk scale.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +24,7 @@ from .util import (
     CapExceededError, bernoulli_rows, derive_seed, iter_bits, mask_from_members, member_tuple,
 )
 
-DEFAULT_PAIR_CAP = int(os.environ.get("MISRECON_PAIR_CAP", 5 * 10**6))
+PAIR_CAP = 5 * 10**6
 
 
 class SchemeConstructionError(RuntimeError):
@@ -94,14 +93,13 @@ def cff_scheme(
     builder: Callable[[int, int, int, int], SetFamily] | None = None,
     seed: int = 0,
     verify: bool | None = None,
-    check_cap: int = coverfree.DEFAULT_CHECK_CAP,
 ) -> QueryScheme:
     """Deterministic scheme from a (2, 2*delta)-cover-free family with n sets.
 
     The builder produces the family R (default: the randomized construction);
     identifying its n sets with the vertices, the queries are the dual:
     query_x = {v : x in R_v}, one query per ground element. With verify=None
-    the family is verified whenever the exhaustive check fits the cap;
+    the family is verified whenever the exhaustive check fits coverfree.CHECK_CAP;
     verify=True forces verification and verify=False skips it.
     """
     if n < 2:
@@ -115,11 +113,10 @@ def cff_scheme(
         raise SchemeConstructionError(
             f"builder produced {family.n} sets, expected {n}"
         )
-    work = math.comb(n, 2) * math.comb(n - 2, min(2 * delta, n - 2))
     if verify is None:
-        verify = work <= check_cap
+        verify = coverfree.check_size(n, 2, 2 * delta) <= coverfree.CHECK_CAP
     if verify:
-        witness = is_cover_free(family, 2, 2 * delta, cap=check_cap)
+        witness = is_cover_free(family, 2, 2 * delta)
         if not witness:
             raise SchemeConstructionError(
                 f"builder family is not (2,{2 * delta})-cover-free: {witness}"
@@ -164,9 +161,7 @@ def _mis_family(adj: tuple[int, ...], qmask: int) -> frozenset[int]:
     return frozenset(found)
 
 
-def is_query_scheme(
-    scheme: QueryScheme, delta: int, cap: int = DEFAULT_PAIR_CAP
-):
+def is_query_scheme(scheme: QueryScheme, delta: int):
     """Exhaustively verify the distinguishing property over all graph pairs.
 
     Returns True, or the first (in enumeration order) SchemeViolation: a pair
@@ -179,22 +174,21 @@ def is_query_scheme(
     memoised per distinct G_i[Q]; the row ends when no candidate is left,
     and its first candidate to pass every query is G_i's first partner.
     Measured on a 2-core VM at n=7, delta=2 (15,796 graphs, 1.2e8 pairs, so
-    cap must be raised): a failing random scheme (12 queries, p=0.5, seed 1)
-    takes about 0.01 s, and the passing scheme of all 21 pair queries, which
-    scans every row, 4.4-5.4 s.
+    PAIR_CAP must be patched higher): a failing random scheme (12 queries,
+    p=0.5, seed 1) takes about 0.01 s, and the passing scheme of all 21 pair
+    queries, which scans every row, 4.4-5.4 s.
     """
     if delta >= 1:
         # the T(n) matchings alone make this many pairs: refuse before enumerating
-        t = matching_count(scheme.n, cap)
+        t = matching_count(scheme.n, PAIR_CAP)
         pairs = t * (t - 1) // 2
-        if pairs > cap:
-            raise CapExceededError(f"at least {pairs} graph pairs exceed cap {cap}")
+        if pairs > PAIR_CAP:
+            raise CapExceededError(f"at least {pairs} graph pairs exceed cap {PAIR_CAP}")
     graphs = enumerate_bounded_degree_graphs(scheme.n, delta)
     n_graphs = len(graphs)
-    if n_graphs * (n_graphs - 1) // 2 > cap:
-        raise CapExceededError(
-            f"{n_graphs * (n_graphs - 1) // 2} graph pairs exceed cap {cap}"
-        )
+    pairs = n_graphs * (n_graphs - 1) // 2
+    if pairs > PAIR_CAP:
+        raise CapExceededError(f"{pairs} graph pairs exceed cap {PAIR_CAP}")
     # adj_t[v, j] = adj_j[v]. int64 holds every mask: the enumeration cap keeps
     # n <= 13 for delta >= 1, and delta = 0 has one graph and no pair
     adj_t = np.array([g.adjacency_masks for g in graphs], np.int64).T.copy()

@@ -79,8 +79,10 @@ def shuffle(rng: random.Random, x: MutableSequence) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-# rows drawn per block, which bounds the temporaries of bernoulli_rows
+# rows per block and elements per getrandbits call, which bound the
+# temporaries of bernoulli_rows to about 24 MiB (24 bytes an element)
 _DRAW_ROWS = 16
+_DRAW_ELEMENTS = 1 << 20
 
 # bits one bernoulli_rows call may draw, each row counted as at least 64 for
 # its int object: 2^30 bits are 128 MiB of masks, 50 times the largest
@@ -113,11 +115,19 @@ def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[
         )
     # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
     threshold = math.ceil(p * 2**53)
+    block = min(_DRAW_ROWS, max(1, _DRAW_ELEMENTS // max(width, 1)))
+    span = max(1, min(width, _DRAW_ELEMENTS))
     masks = []
-    for start in range(0, rows, _DRAW_ROWS):
-        block = min(_DRAW_ROWS, rows - start)
-        draws = _random_keys(rng, block * width).reshape(block, width) < threshold
-        masks.extend(bits_to_masks(draws))
+    for start in range(0, rows, block):
+        count = min(block, rows - start)
+        # a row wider than span (then count is 1) is drawn in pieces, low bits
+        # first: consecutive draws continue one stream
+        row_masks = [0] * count
+        for low in range(0, width, span):
+            keys = _random_keys(rng, count * min(span, width - low)).reshape(count, -1)
+            pieces = bits_to_masks(keys < threshold)
+            row_masks = [m | b << low for m, b in zip(row_masks, pieces)]
+        masks.extend(row_masks)
     return masks
 
 

@@ -1,9 +1,13 @@
-"""Shared helpers for tests that start `python -m misrecon` as a subprocess."""
+"""Shared test helpers: the environment of a `python -m misrecon` subprocess,
+and a fixture that patches a capacity constant."""
 
 import os
 from pathlib import Path
 
+import pytest
+
 import misrecon
+from misrecon import graphs
 
 
 def cli_env():
@@ -22,3 +26,18 @@ def cli_env():
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return env
+
+
+@pytest.fixture
+def set_cap(monkeypatch):
+    """set_cap(module, name, value) patches the capacity constant module.name
+    for one test. The memo of graphs.enumerate_bounded_degree_graphs is cleared
+    at each patch and after the test, so an enumeration cached under another
+    cap neither hides a refusal nor outlives the patch."""
+
+    def patch(module, name, value):
+        graphs.enumerate_bounded_degree_graphs.cache_clear()
+        monkeypatch.setattr(module, name, value)
+
+    yield patch
+    graphs.enumerate_bounded_degree_graphs.cache_clear()

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from misrecon.coverfree import CffConstructionError, CoverViolation, SetFamily
 from misrecon.graphs import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     AdversarialFamilyDesc,
     Graph,
     enumerate_bounded_degree_graphs,
@@ -331,7 +331,7 @@ def clique_family_size(n: int, delta: int) -> int:
     return math.comb(n - u_size, slots) ** u_size
 
 
-def enumerate_clique_family(n: int, delta: int, cap: int = DEFAULT_ENUM_CAP):
+def enumerate_clique_family(n: int, delta: int, cap: int = ENUM_CAP):
     """Slot choices of the plain family in itertools.product order."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -357,7 +357,7 @@ def enumerate_blocked_clique_family(
     delta: int,
     clique: int,
     forced_block: int,
-    cap: int = DEFAULT_ENUM_CAP,
+    cap: int = ENUM_CAP,
 ):
     """Slot choices of the forced-block family for a fixed (U, W) of masks."""
     if delta < 3:

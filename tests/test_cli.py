@@ -167,12 +167,31 @@ class TestExperimentDispatch:
 
     def test_cap_exceeded_exits_three(self, capsys):
         code, _, err = run_cli(
-            ["experiment", "profile-count", "--n", "12", "--delta", "4",
-             "--queries", "2", "--seed", "1", "--enum-cap", "5"],
+            ["experiment", "profile-count", "--n", "40", "--delta", "8",
+             "--queries", "2", "--seed", "1"],
             capsys,
         )
         assert code == 3
         assert "capacity exceeded" in err
+
+    def test_enum_cap_flag_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "profile-count", "--n", "12", "--delta", "4",
+                  "--queries", "2", "--seed", "1", "--enum-cap", "5"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --enum-cap 5\n" in capsys.readouterr().err
+
+    def test_cap_environment_variables_change_nothing(self):
+        # the capacity limits are module constants: no environment variable
+        # is read, so not even a non-integer one ends the run
+        argv = [sys.executable, "-m", "misrecon", "experiment", "family-count",
+                "--n", "9", "--delta", "2"]
+        plain = subprocess.run(argv, capture_output=True, env=cli_env())
+        knobs = {f"MISRECON_{name}_CAP": "abc" for name in ("ENUM", "CHECK", "SEARCH", "PAIR")}
+        with_knobs = subprocess.run(argv, capture_output=True, env={**cli_env(), **knobs})
+        assert plain.returncode == 0, plain.stderr
+        assert (with_knobs.returncode, with_knobs.stdout, with_knobs.stderr) == (
+            0, plain.stdout, plain.stderr)
 
     def test_missing_required_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -201,10 +201,11 @@ class TestIsCoverFree:
             for r in range(1, r_hi):
                 assert is_cover_free(f, 1, r) is True
 
-    def test_cap(self):
+    def test_cap(self, set_cap):
         f = random_set_family(12, 6, 0.5, seed=0)
+        set_cap(coverfree, "CHECK_CAP", 10)
         with pytest.raises(CapExceededError):
-            is_cover_free(f, 2, 4, cap=10)
+            is_cover_free(f, 2, 4)
 
 
 class TestRandomCff:
@@ -281,9 +282,10 @@ class TestExactT:
     def test_not_found(self):
         assert exact_t(6, 1, 1, t_max=3) is None
 
-    def test_cap(self):
+    def test_cap(self, set_cap):
+        set_cap(coverfree, "SEARCH_CAP", 100)
         with pytest.raises(CapExceededError):
-            exact_t(6, 1, 1, t_max=6, cap=100)
+            exact_t(6, 1, 1, t_max=6)
 
     @pytest.mark.parametrize("t_max", [0, -1])
     def test_t_max_below_one_is_value_error(self, t_max):

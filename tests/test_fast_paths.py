@@ -126,6 +126,28 @@ class TestBernoulliRows:
         assert bernoulli_rows(batched, rows, width, p) == expected
         assert batched.getstate() == scalar.getstate()
 
+    @pytest.mark.parametrize("elements", [1, 7, 64])
+    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, elements):
+        # blocks shrink to fit the bound, and wider rows are drawn in pieces
+        monkeypatch.setattr(util, "_DRAW_ELEMENTS", elements)
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        for rows, width, p, seed in ((17, 65, 0.3, 1), (3, 0, 0.5, 2), (5, 7, 0.5, 3),
+                                     (40, 3, 0.7, 4), (2, 200, 0.1, 5), (1, 1, 0.5, 6)):
+            calls = []
+            scalar, batched = random.Random(seed), Recording(seed)
+            expected = [
+                sum(1 << j for j in range(width) if scalar.random() < p)
+                for _ in range(rows)
+            ]
+            assert bernoulli_rows(batched, rows, width, p) == expected
+            assert batched.getstate() == scalar.getstate()
+            assert max(calls, default=0) <= 64 * elements
+
     @checked
     @given(seed=SEEDS)
     def test_draw_equal_to_p_is_excluded_and_just_below_included(self, seed):
@@ -758,13 +780,15 @@ class TestHiddenCliqueFamilies:
         if isinstance(want, list):
             assert _validated(fast) == [(g, g.delta) for g in want]
 
-    def test_enumeration_cap_equals_reference(self):
+    def test_enumeration_cap_equals_reference(self, set_cap):
+        set_cap(lib_graphs, "ENUM_CAP", 14_399)
         with pytest.raises(CapExceededError) as fast:
-            list(lib_graphs.enumerate_clique_family(12, 4, cap=14_399))
+            list(lib_graphs.enumerate_clique_family(12, 4))
         with pytest.raises(CapExceededError) as want:
             list(ref.enumerate_clique_family(12, 4, cap=14_399))
         assert str(fast.value) == str(want.value)
-        assert len(list(lib_graphs.enumerate_clique_family(12, 4, cap=14_400))) == 14_400
+        set_cap(lib_graphs, "ENUM_CAP", 14_400)
+        assert len(list(lib_graphs.enumerate_clique_family(12, 4))) == 14_400
 
     @pytest.mark.parametrize("variant", ["clique", "clique-block"])
     def test_family_count_check_equals_reference(self, variant):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misrecon import graphs
 from misrecon.graphs import (
     AdversarialFamilyDesc,
     Graph,
@@ -177,9 +178,10 @@ class TestFamilyEnumeration:
         for g in members:
             assert g.delta <= delta
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, set_cap):
+        set_cap(graphs, "ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
-            list(enumerate_clique_family(40, 8, cap=1000))
+            list(enumerate_clique_family(40, 8))
 
     def test_clique_family_enumerator_is_a_generator_function(self):
         # perfbench/tracer.py consumes a generator function inside its span;
@@ -223,24 +225,28 @@ class TestFamilyEnumeration:
         assert isinstance(first, tuple)
         assert enumerate_bounded_degree_graphs(5, 2) is first
 
-    def test_bounded_degree_cap_raises_on_every_call(self):
+    def test_bounded_degree_cap_raises_on_every_call(self, set_cap):
         # 1 + 6 + 3 graphs on 4 vertices have max degree <= 1
-        assert len(enumerate_bounded_degree_graphs(4, 1, cap=10)) == 10
+        set_cap(graphs, "ENUM_CAP", 10)
+        assert len(enumerate_bounded_degree_graphs(4, 1)) == 10
+        set_cap(graphs, "ENUM_CAP", 9)
         for _ in range(2):
             with pytest.raises(CapExceededError):
-                enumerate_bounded_degree_graphs(4, 1, cap=9)
+                enumerate_bounded_degree_graphs(4, 1)
 
-    def test_matchings_over_cap_refused_before_recursing(self):
+    def test_matchings_over_cap_refused_before_recursing(self, set_cap):
         # the T(n) = T(n-1) + (n-1) T(n-2) matchings are enumerated whenever
         # delta >= 1, so T(n) > cap is refused up front
         counts = [len(enumerate_bounded_degree_graphs(n, 1)) for n in range(8)]
         assert counts == [1, 1, 2, 4, 10, 26, 76, 232]
-        assert len(enumerate_bounded_degree_graphs(7, 1, cap=232)) == 232
-        with pytest.raises(CapExceededError):
-            enumerate_bounded_degree_graphs(7, 3, cap=231)
         # C(46, 2) candidate edges, one recursion level each
         with pytest.raises(CapExceededError):
             enumerate_bounded_degree_graphs(46, 1)
+        set_cap(graphs, "ENUM_CAP", 232)
+        assert len(enumerate_bounded_degree_graphs(7, 1)) == 232
+        set_cap(graphs, "ENUM_CAP", 231)
+        with pytest.raises(CapExceededError):
+            enumerate_bounded_degree_graphs(7, 3)
 
 
 class TestDescriptorValidation:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from misrecon import coverfree, schemes
 from misrecon.coverfree import CoverViolation, SetFamily, is_cover_free
 from misrecon.graphs import Graph, enumerate_bounded_degree_graphs
 from misrecon.schemes import (
@@ -93,9 +94,10 @@ class TestCffScheme:
         assert scheme.n == 3
         assert is_cover_free(scheme.dual_family(), 2, 2) is True
 
-    def test_verification_cap_respected(self):
+    def test_verification_cap_respected(self, set_cap):
+        set_cap(coverfree, "CHECK_CAP", 1)
         with pytest.raises(CapExceededError):
-            cff_scheme(6, 2, seed=0, verify=True, check_cap=1)
+            cff_scheme(6, 2, seed=0, verify=True)
 
     def test_skip_verification(self):
         def builder(n, w, r, seed):
@@ -131,9 +133,10 @@ class TestIsQueryScheme:
         sizes = sorted((result.g.num_edges, result.h.num_edges))
         assert sizes == [0, 1]
 
-    def test_cap(self):
+    def test_cap(self, set_cap):
+        set_cap(schemes, "PAIR_CAP", 10)
         with pytest.raises(CapExceededError):
-            is_query_scheme(pair_scheme(6), 2, cap=10)
+            is_query_scheme(pair_scheme(6), 2)
 
     def test_c02_slice_verdicts_and_witnesses(self):
         # the delta=2 random schemes 0..5 of the c02 acceptance corpus, built
