@@ -36,6 +36,7 @@ from .schemes import (
     QueryScheme,
     SchemeConstructionError,
     cff_scheme,
+    check_pair_cap,
     duality_check,
     random_queries,
     randomized_scheme,
@@ -214,6 +215,8 @@ def _duality(args) -> ExperimentReport:
             raise ValueError("random scheme needs --seed")
         if args.n is None:
             raise ValueError("random scheme needs --n")
+        # refuse on the pair bound of is_query_scheme before a draw that can take seconds
+        check_pair_cap(args.n, args.delta)
         scheme = random_queries(args.n, args.queries, args.p, args.seed)
     dreport = duality_check(scheme, args.delta)
     return ExperimentReport(

@@ -9,14 +9,12 @@ one clique vertex per query.
 
 from __future__ import annotations
 
-import _random
 import json
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import AdversarialFamilyDesc, Graph
-from .util import derive_seed, iter_bits, mask_from_members, member_tuple, shuffle
+from .util import iter_bits, keyed_ranks, mask_from_members, member_tuple
 
 
 class OracleError(RuntimeError):
@@ -83,17 +81,17 @@ class GreedyOrderPolicy:
 
 
 class RandomMisPolicy:
-    """Greedy under a fresh random order per query, derived from (seed, index).
+    """Greedy under a fresh random order per query, keyed by (seed, index).
 
-    An edgeless G[Q] has Q as its only MIS and seeds no generator. Any other
-    query shuffles its members with one private generator, reseeded in place
-    with the C-level seed derive_seed(seed, index); that leaves the state
-    random.Random(seed) starts from, so each answer is a fresh generator's.
+    An edgeless G[Q] has Q as its only MIS and hashes nothing. Any other
+    query gives its t-th least member word t of keyed_ranks(seed, index, |Q|)
+    as its rank and answers the greedy MIS over the members in ascending
+    (rank, vertex) order. Greedy over i.i.d. random priorities is greedy over
+    a uniform random order (Blelloch, Fineman & Shun, SPAA 2012).
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rng: random.Random | None = None
 
     def answer(self, g: Graph, q: int, index: int) -> int:
         _check_query(g.n, q)
@@ -114,13 +112,10 @@ class RandomMisPolicy:
             low = rest & -rest
             members.append(low.bit_length() - 1)
             rest ^= low
-        seed = derive_seed(self.seed, index)
-        if self._rng is None:
-            self._rng = random.Random(seed)
-        else:
-            _random.Random.seed(self._rng, seed)
-        shuffle(self._rng, members)
-        return _greedy_insert(adj, members)
+        ranks = keyed_ranks(self.seed, index, len(members))
+        # a stable sort of the positions by rank breaks ties by vertex
+        order = sorted(range(len(members)), key=ranks.__getitem__)
+        return _greedy_insert(adj, map(members.__getitem__, order))
 
 
 class AdversarialCliquePolicy:

@@ -69,7 +69,7 @@ def _pairs(upper: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 # mask rows unpacked per Gram block, which bounds the temporaries of decode
-_GRAM_ROWS = 128
+_GRAM_ROWS = 512
 
 
 def _co_occurs(n: int, masks: list[int]) -> np.ndarray:

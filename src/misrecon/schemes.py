@@ -161,6 +161,17 @@ def _mis_family(adj: tuple[int, ...], qmask: int) -> frozenset[int]:
     return frozenset(found)
 
 
+def check_pair_cap(n: int, delta: int) -> None:
+    """CapExceededError when the T(n) matchings alone, graphs of max degree
+    <= delta for delta >= 1, make more than PAIR_CAP pairs: the refusal of
+    is_query_scheme, which a caller can make before it draws a scheme."""
+    if delta >= 1:
+        t = matching_count(n, PAIR_CAP)
+        pairs = t * (t - 1) // 2
+        if pairs > PAIR_CAP:
+            raise CapExceededError(f"at least {pairs} graph pairs exceed cap {PAIR_CAP}")
+
+
 def is_query_scheme(scheme: QueryScheme, delta: int):
     """Exhaustively verify the distinguishing property over all graph pairs.
 
@@ -178,12 +189,7 @@ def is_query_scheme(scheme: QueryScheme, delta: int):
     p=0.5, seed 1) takes about 0.01 s, and the passing scheme of all 21 pair
     queries, which scans every row, 4.4-5.4 s.
     """
-    if delta >= 1:
-        # the T(n) matchings alone make this many pairs: refuse before enumerating
-        t = matching_count(scheme.n, PAIR_CAP)
-        pairs = t * (t - 1) // 2
-        if pairs > PAIR_CAP:
-            raise CapExceededError(f"at least {pairs} graph pairs exceed cap {PAIR_CAP}")
+    check_pair_cap(scheme.n, delta)
     graphs = enumerate_bounded_degree_graphs(scheme.n, delta)
     n_graphs = len(graphs)
     pairs = n_graphs * (n_graphs - 1) // 2

@@ -1,16 +1,18 @@
-"""Shared plumbing: deterministic seed derivation, seeded shuffles and
-Bernoulli rows, the int-mask / bit-row codec, capacity errors, trial loops
-and their sample statistics.
+"""Shared plumbing: deterministic seed derivation, keyed hash ranks, seeded
+shuffles and Bernoulli rows, the int-mask / bit-row codec, capacity errors,
+trial loops and their sample statistics.
 
 Every randomized operation in this package takes an explicit integer seed and
-derives per-trial / per-query seeds through a fixed 64-bit mixer, so results
-are reproducible across platforms.
+derives per-trial seeds through a fixed 64-bit mixer and per-query ranks
+through SHAKE-128, so results are reproducible across platforms.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import struct
 from typing import Callable, Iterable, MutableSequence, Sequence, TypeVar
 
 import numpy as np
@@ -27,8 +29,11 @@ class CapExceededError(RuntimeError):
 def derive_seed(base: int, *path: int) -> int:
     """Derive a child seed from a base seed and an index path.
 
-    Uses a splitmix64-style finalizer per path component; collision-free in
-    practice and stable across platforms (unlike hash()-based seeding).
+    Uses a splitmix64-style finalizer per path component, stable across
+    platforms (unlike hash()-based seeding). The components are not kept
+    apart: each adds its value to the running state before it is mixed, so
+    for a one-component path the child depends only on base + p, and
+    derive_seed(5, i + 1) == derive_seed(6, i).
     """
     x = base & _MASK64
     for p in path:
@@ -37,6 +42,14 @@ def derive_seed(base: int, *path: int) -> int:
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         x = x ^ (x >> 31)
     return x
+
+
+def keyed_ranks(seed: int, index: int, count: int) -> tuple[int, ...]:
+    """count pseudo-random 64-bit ranks keyed by (seed, index): the
+    little-endian unsigned 64-bit words of SHAKE-128 (FIPS 202) over two
+    8-byte little-endian fields, seed mod 2^64 and then index mod 2^64."""
+    key = (seed & _MASK64 | (index & _MASK64) << 64).to_bytes(16, "little")
+    return struct.unpack(f"<{count}Q", hashlib.shake_128(key).digest(8 * count))
 
 
 def run_seeded_trials(trial: Callable[[int], T], trials: int, seed: int) -> list[T]:

@@ -3,16 +3,17 @@
 These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme and
 set-family draws,
-the graph generator and oracle answers on the stdlib Random.shuffle,
-decoding, one policy call and one MIS check per query,
-the 2^|Q| subset scan for maximal independent sets, the frozenset
-cover-free checker, the `x in s` scans of the dual family and the CFF
+the graph generator on the stdlib Random.shuffle, random-MIS answers
+sorted by hash ranks read word by word, decoding, one policy call and one
+MIS check per query, the 2^|Q| subset scan for maximal independent sets,
+the frozenset cover-free checker, the `x in s` scans of the dual family and the CFF
 scheme's queries, and the separate plain and blocked hidden-clique samplers,
 enumerators and count chain. Property tests require the
 library to agree with them bit for bit on every input. It also holds the
 small graph helpers that only the tests use.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -110,10 +111,15 @@ def greedy_mis(g: Graph, q: int, order) -> int:
     return mis
 
 
-def random_mis(g: Graph, q: int, seed: int) -> int:
+def random_mis(g: Graph, q: int, seed: int, index: int) -> int:
+    """Greedy over q's members sorted by (rank, vertex), member t's rank
+    being the t-th 8-byte word of SHAKE-128 over (seed, index) as two
+    8-byte little-endian fields, each read by itself."""
     members = list(iter_bits(q))
-    random.Random(seed).shuffle(members)
-    return greedy_mis(g, q, members)
+    key = (seed % 2**64).to_bytes(8, "little") + (index % 2**64).to_bytes(8, "little")
+    stream = hashlib.shake_128(key).digest(8 * len(members))
+    ranks = [int.from_bytes(stream[8 * t : 8 * t + 8], "little") for t in range(len(members))]
+    return greedy_mis(g, q, [v for _, v in sorted(zip(ranks, members))])
 
 
 def greedy_lex(g: Graph, q: int) -> int:
@@ -121,13 +127,14 @@ def greedy_lex(g: Graph, q: int) -> int:
 
 
 class RandomMisPolicy:
-    """A fresh random.Random per query, seeded with derive_seed(seed, index)."""
+    """Hash ranks keyed by (seed, index) per query, every query ranked,
+    edgeless or not."""
 
     def __init__(self, seed: int):
         self.seed = seed
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        return random_mis(g, q, derive_seed(self.seed, index))
+        return random_mis(g, q, self.seed, index)
 
 
 def run_scheme(g: Graph, scheme: QueryScheme, policy) -> Transcript:

@@ -417,6 +417,21 @@ class TestExperimentDispatch:
         assert "Traceback" not in err and not stdout
         assert time.perf_counter() - start < 1.0
 
+    def test_pair_cap_is_refused_before_the_draw(self, monkeypatch, capsys):
+        # n = 10^7 passes the draw cap: the 16 x 10^7 draw took seconds, only
+        # for the matchings to be refused after it
+        def refuse(*args):
+            raise AssertionError("drew a scheme")
+
+        monkeypatch.setattr(cli, "random_queries", refuse)
+        code, stdout, err = run_cli(
+            ["experiment", "duality", "--n", "10000000", "--delta", "1", "--queries", "16",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 3 and not stdout
+        assert err == "capacity exceeded: at least 53556442532880 graph pairs exceed cap 5000000\n"
+
     @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
     def test_each_experiment_names_its_missing_flags(self, name, capsys):
         _, _, flags = cli._EXPERIMENTS[name]

@@ -220,8 +220,8 @@ class TestIsMis:
 class TestGreedyAnswers:
     @checked
     @given(data=st.data(), seed=SEEDS, indices=st.lists(INDICES, min_size=1, max_size=4))
-    def test_random_mis_equals_shuffle_then_greedy(self, data, seed, indices):
-        # one policy answers every index, so its generator is reseeded in place
+    def test_random_mis_equals_ranked_greedy(self, data, seed, indices):
+        # one policy answers every index, and no answer may depend on an earlier one
         g = data.draw(graphs())
         policy, reference = RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
         for index in indices:
@@ -277,8 +277,8 @@ def random_answer(case, seed, index):
 
 
 class TestEdgelessShortcut:
-    """The random-MIS policy answers an edgeless G[Q] with Q itself and seeds
-    nothing; every other query keeps the seeded shuffle."""
+    """The random-MIS policy answers an edgeless G[Q] with Q itself and hashes
+    nothing; every other query keeps the keyed hash ranks."""
 
     @checked
     @given(case=query_with_inner_edges(no_inner_edge, max_q=1), seed=SEEDS, index=INDICES)
@@ -302,16 +302,16 @@ class TestEdgelessShortcut:
         random_answer(case, seed, index)
 
     def test_edgeless_queries_seed_no_generator(self, monkeypatch):
-        def refuse(seed):
+        def refuse(seed, index, count):
             raise AssertionError("seeded a generator")
 
-        monkeypatch.setattr(oracle.random, "Random", refuse)
+        monkeypatch.setattr(oracle, "keyed_ranks", refuse)
         g = Graph(6, [(i, i + 1) for i in range(5)])  # the path 0-1-..-5
         masks = [0, 0b1, 0b100000, 0b10101, 0b101010, 0b100001]
         scheme = QueryScheme(6, tuple(masks))
         transcript = run_scheme(g, scheme, RandomMisPolicy(7))
         assert [a for _, a in transcript.masks] == list(scheme.masks)
-        # the generator is made at the first query with an edge
+        # the ranks are hashed at the first query with an edge
         with pytest.raises(AssertionError, match="seeded a generator"):
             RandomMisPolicy(7).answer(g, 0b11, 0)
 
@@ -373,7 +373,8 @@ class TestGenBoundedDegree:
 
 
 class TestRandomMisPolicyShapes:
-    """The policy answers each G[Q] shape as a fresh generator per query does."""
+    """The policy answers each G[Q] shape as the reference's ranks, fresh
+    for each query, do."""
 
     @pytest.mark.parametrize(
         "inner_edges", [no_inner_edge, one_inner_edge, dense_inner_edges]
@@ -383,7 +384,7 @@ class TestRandomMisPolicyShapes:
     def test_equals_fresh_generator_per_query(self, inner_edges, data, seed, index):
         g, q = data.draw(query_with_inner_edges(inner_edges))
         policy, reference = RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
-        # the whole vertex set first, so that q reseeds the policy's generator
+        # the whole vertex set first, so that an answer carried over would show
         every = (1 << g.n) - 1
         for query, at in ((every, index + 1), (q, index)):
             assert policy.answer(g, query, at) == reference.answer(g, query, at)

@@ -1,6 +1,9 @@
 """MIS computation, answer policies, and transcript recording."""
 
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -94,7 +97,7 @@ class TestRandomMis:
 
     def test_triangle_distribution_uniform(self):
         # symmetry of a uniform permutation: each singleton wins 1/3 of the
-        # query indices, each answered by the one generator reseeded in place
+        # query indices, all answered by one policy
         counts = {0: 0, 1: 0, 2: 0}
         trials = 3000
         policy = RandomMisPolicy(5)
@@ -103,6 +106,34 @@ class TestRandomMis:
             counts[ans.bit_length() - 1] += 1
         for v in range(3):
             assert abs(counts[v] / trials - 1 / 3) < 0.05
+
+    @pytest.mark.parametrize("g", [
+        Graph.complete(3),
+        path_graph(4),  # answers {0, 2}, {0, 3}, {1, 3} in the ratio 3:2:3
+        Graph(4, [(0, 1), (0, 2), (0, 3)]),  # the star K1,3
+    ], ids=["triangle", "P4", "K1,3"])
+    def test_answer_law_is_greedy_over_a_uniform_order(self, g):
+        # the exact law: greedy over each of the n! orders, equally likely
+        law = Counter(greedy(g, full(g.n), order) for order in itertools.permutations(range(g.n)))
+        orders = sum(law.values())
+        trials = 4000
+        policy = RandomMisPolicy(9)
+        seen = Counter(policy.answer(g, full(g.n), index) for index in range(trials))
+        assert set(seen) == set(law)
+        for answer, ways in law.items():
+            p = ways / orders
+            stderr = math.sqrt(p * (1 - p) / trials)
+            assert abs(seen[answer] / trials - p) <= 5 * stderr, answer
+
+    def test_seed_and_index_do_not_alias(self):
+        # derive_seed(s, i + 1) == derive_seed(s + 1, i), so a stream seeded
+        # per query with it repeats itself one index later at the next seed.
+        # On a perfect matching of 16 edges each of the 2^16 MIS is equally
+        # likely, so two unrelated answers agree about once in 65,536
+        g = Graph(32, [(2 * k, 2 * k + 1) for k in range(16)])
+        here, next_seed = RandomMisPolicy(5), RandomMisPolicy(6)
+        for index in range(64):
+            assert here.answer(g, full(32), index + 1) != next_seed.answer(g, full(32), index)
 
 
 class TestAdversarialAnswer:
