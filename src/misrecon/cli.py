@@ -22,6 +22,7 @@ from . import coverfree, lowerbounds, reconstruct
 from .coverfree import CffConstructionError, CffParams, SetFamily, random_set_family
 from .graphs import (
     Graph,
+    check_family_cap,
     gen_bounded_degree,
     graph_from_text,
     graph_to_text,
@@ -177,8 +178,10 @@ def _bound_table(args) -> ExperimentReport:
 
 
 def _profile_count(args) -> ExperimentReport:
-    scheme = random_queries(args.n, args.queries, args.p, derive_seed(args.seed, 1))
     desc = clique_family_desc(args.n, args.delta)
+    # refuse on the enumeration cap before a draw that can take seconds
+    check_family_cap(desc)
+    scheme = random_queries(args.n, args.queries, args.p, derive_seed(args.seed, 1))
     family = enumerate_clique_family(args.n, args.delta)
     return lowerbounds.profile_count(scheme, family, desc)
 

@@ -44,6 +44,8 @@ SEARCH_CAP = 10**7
 GROUND_CAP = 10**6
 # a finer alpha grid is refused before np.linspace allocates 8 bytes a point
 GRID_CAP = 10**6
+# redraw rounds random_set_family spends on equal sets before it gives up
+MAX_ROUNDS = 100
 
 
 def _check_ground(t: int) -> None:
@@ -235,9 +237,7 @@ def random_cff(n: int, w: int, r: int, c: float = 2.0, seed: int = 0) -> SetFami
     return random_set_family(n, t, w / (w + r), seed)
 
 
-def random_set_family(
-    n: int, t: int, density: float, seed: int = 0, max_rounds: int = 100
-) -> SetFamily:
+def random_set_family(n: int, t: int, density: float, seed: int = 0) -> SetFamily:
     """n distinct uniform-density subsets of {0,..,t-1}; experiment fodder."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
@@ -251,7 +251,7 @@ def random_set_family(
     _check_ground(t)
     rng = random.Random(derive_seed(seed))
     masks = bernoulli_rows(rng, n, t, density)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         seen: set[int] = set()
         dup = []
         for i, m in enumerate(masks):
@@ -265,7 +265,7 @@ def random_set_family(
         for i, m in zip(dup, bernoulli_rows(rng, len(dup), t, density)):
             masks[i] = m
     raise CffConstructionError(
-        f"could not draw {n} distinct sets within {max_rounds} rounds"
+        f"could not draw {n} distinct sets within {MAX_ROUNDS} rounds"
     )
 
 
@@ -304,8 +304,8 @@ def exact_t(n: int, w: int, r: int, t_max: int) -> int | None:
 def alpha_product_bound(w: int, r: int, grid_size: int) -> float:
     """Max over an [0,1] grid of a^w (1-a)^r minus its closed-form maximum.
 
-    The product is maximised at a = w/(w+r); the returned deviation must be
-    <= 0 up to numeric tolerance.
+    The product peaks at a = w/(w+r), evaluated in log space so that a w or r
+    above 2^53 keeps its precision; the deviation must be <= 0 up to tolerance.
     """
     if w < 1 or r < 1:
         raise ValueError("need w, r >= 1")
@@ -315,13 +315,15 @@ def alpha_product_bound(w: int, r: int, grid_size: int) -> float:
         raise CapExceededError(f"grid size {grid_size} exceeds cap {GRID_CAP}")
     alpha = np.linspace(0.0, 1.0, grid_size)
     values = alpha**w * (1.0 - alpha) ** r
-    peak = (w / (w + r)) ** w * (r / (w + r)) ** r
+    peak = math.exp(-w * math.log1p(r / w) - r * math.log1p(w / r))
     return float(np.max(values) - peak)
 
 
-def _draw_trial(f: SetFamily, w: int, r: int, rng: random.Random):
-    """One (A-tuple, B-tuple) draw; returns (a_mask, b_mask) over set indices."""
+def _draw_trial(f: SetFamily, membership: tuple[int, ...], w: int, r: int, seed: int):
+    """One (A-tuple, B-tuple) draw from Random(seed): (a_mask, b_mask) over
+    set indices, and the ground elements in every A-set and in no B-set."""
     n = f.n
+    rng = random.Random(seed)
     a_mask = 0
     for _ in range(w):
         a_mask |= 1 << rng.randrange(n)
@@ -329,16 +331,17 @@ def _draw_trial(f: SetFamily, w: int, r: int, rng: random.Random):
     b_mask = 0
     for _ in range(r):
         b_mask |= 1 << rest[rng.randrange(len(rest))]
-    return a_mask, b_mask
+    survivors = [x for x, m in enumerate(membership) if a_mask & ~m == 0 and b_mask & m == 0]
+    return a_mask, b_mask, survivors
 
 
-def _surviving_elements(membership: list[int], a_mask: int, b_mask: int) -> list[int]:
-    """Ground elements contained in every A-set and in no B-set."""
-    return [
-        x
-        for x, m in enumerate(membership)
-        if a_mask & ~m == 0 and b_mask & m == 0
-    ]
+def _membership(f: SetFamily, params: CffParams) -> tuple[int, ...]:
+    """The dual's masks of a family of at least w + r distinct sets, or ValueError."""
+    if f.has_duplicates():
+        raise ValueError("experiment requires a family of distinct sets")
+    if params.w + params.r > f.n:
+        raise ValueError("need w + r <= n")
+    return dual(f).masks
 
 
 def survivor_count_experiment(
@@ -351,18 +354,12 @@ def survivor_count_experiment(
     ceiling (n/(n-w))^r * sum_x a_x^w (1-a_x)^r and against the distribution-
     free ceiling (w/(w+r))^w * t.
     """
-    if f.has_duplicates():
-        raise ValueError("experiment requires a family of distinct sets")
+    membership = _membership(f, params)
     w, r = params.w, params.r
     n, t = f.n, f.ground_size
-    if w + r > n:
-        raise ValueError("need w + r <= n")
-    membership = dual(f).masks
 
     def trial(trial_seed: int) -> int:
-        rng = random.Random(trial_seed)
-        a_mask, b_mask = _draw_trial(f, w, r, rng)
-        return len(_surviving_elements(membership, a_mask, b_mask))
+        return len(_draw_trial(f, membership, w, r, trial_seed)[2])
 
     mean, var, stderr = mean_var_stderr(run_seeded_trials(trial, trials, seed))
 
@@ -405,18 +402,12 @@ def cover_witness_search(
     set inclusion. Each verified witness certifies the family is not
     (w, r+|X|)-cover-free via this route.
     """
-    if f.has_duplicates():
-        raise ValueError("experiment requires a family of distinct sets")
+    membership = _membership(f, params)
     w, r, s = params.w, params.r, params.s
     n = f.n
-    if w + r > n:
-        raise ValueError("need w + r <= n")
-    membership = dual(f).masks
 
     def trial(trial_seed: int) -> tuple[bool, bool]:
-        rng = random.Random(trial_seed)
-        a_mask, b_mask = _draw_trial(f, w, r, rng)
-        xs = _surviving_elements(membership, a_mask, b_mask)
+        a_mask, b_mask, xs = _draw_trial(f, membership, w, r, trial_seed)
         if len(xs) > s:
             return False, False
         if any(m == a_mask for m in membership):

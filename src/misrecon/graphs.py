@@ -167,9 +167,6 @@ class AdversarialFamilyDesc:
         rest = [v for v in range(self.n) if not taken >> v & 1]
         return member_tuple(self.clique), member_tuple(self.forced_block), rest
 
-    def size(self) -> int:
-        return family_size(self.n, self.delta, self.forced_block != 0)
-
 
 def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
     """Random graph with max degree <= delta.
@@ -269,6 +266,14 @@ def clique_family_desc(n: int, delta: int) -> AdversarialFamilyDesc:
     )
 
 
+def check_family_cap(desc: AdversarialFamilyDesc) -> None:
+    """CapExceededError when the described family has more than ENUM_CAP
+    members: the refusal of enumerate_family, which a caller can make first."""
+    size = family_size(desc.n, desc.delta, desc.forced_block != 0)
+    if size > ENUM_CAP:
+        raise CapExceededError(f"family size {size} exceeds cap {ENUM_CAP}")
+
+
 def enumerate_family(desc: AdversarialFamilyDesc) -> Iterator[Graph]:
     """Yield every member of the described family exactly once.
 
@@ -276,9 +281,7 @@ def enumerate_family(desc: AdversarialFamilyDesc) -> Iterator[Graph]:
     ascending, of their slot choices; enumeration is refused when the member
     count exceeds ENUM_CAP.
     """
-    size = desc.size()
-    if size > ENUM_CAP:
-        raise CapExceededError(f"family size {size} exceeds cap {ENUM_CAP}")
+    check_family_cap(desc)
     # each member adds, for every u in U, its chosen neighbours to adj[u] and
     # u to each chosen adj[v]
     clique, rest, base = _member_base(desc)

@@ -4,8 +4,9 @@ These are the straightforward loops the library used before its hot paths
 were batched and its exhaustive checkers pruned: per-bit scheme and
 set-family draws,
 the graph generator on the stdlib Random.shuffle, random-MIS answers
-sorted by hash ranks read word by word, decoding, one policy call and one
-MIS check per query, the 2^|Q| subset scan for maximal independent sets,
+sorted by hash ranks read word by word, the clique adversary that checks
+its own candidate answer, decoding, one policy call and one MIS check per
+query, the 2^|Q| subset scan for maximal independent sets,
 the frozenset cover-free checker, the `x in s` scans of the dual family and the CFF
 scheme's queries, and the separate plain and blocked hidden-clique samplers,
 enumerators and count chain. Property tests require the
@@ -135,6 +136,27 @@ class RandomMisPolicy:
 
     def answer(self, g: Graph, q: int, index: int) -> int:
         return random_mis(g, q, self.seed, index)
+
+
+class AdversarialCliquePolicy:
+    """The clique adversary that first tests its own candidate Q \\ U with
+    is_mis, and refuses a graph outside its family when no answer fits."""
+
+    index_free = True
+
+    def __init__(self, desc: AdversarialFamilyDesc):
+        self.desc = desc
+
+    def answer(self, g: Graph, q: int, index: int) -> int:
+        if self.desc.n != g.n:
+            raise ValueError("family descriptor does not match the graph's vertices")
+        outside = q & ~self.desc.clique
+        if is_mis(g, q, outside):
+            return outside
+        for u in iter_bits(q & self.desc.clique):
+            if not g.adjacency_mask(u) & outside:
+                return outside | 1 << u
+        raise OracleError("graph is not a member of the described clique family")
 
 
 def run_scheme(g: Graph, scheme: QueryScheme, policy) -> Transcript:

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, file outputs, and reproducibility."""
 
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -431,6 +432,33 @@ class TestExperimentDispatch:
         )
         assert code == 3 and not stdout
         assert err == "capacity exceeded: at least 53556442532880 graph pairs exceed cap 5000000\n"
+
+    def test_family_cap_is_refused_before_the_draw(self, monkeypatch, capsys):
+        # the 400 x 10^6 draw took 16 s, only for the family to be refused after it
+        def refuse(*args):
+            raise AssertionError("drew a scheme")
+
+        monkeypatch.setattr(cli, "random_queries", refuse)
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["experiment", "profile-count", "--n", "1000000", "--delta", "2", "--queries", "400",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 3 and not stdout
+        assert err == "capacity exceeded: family size 499998500001 exceeds cap 1000000\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_alpha_bound_peak_keeps_its_precision_past_two_to_the_53(self, capsys):
+        # the float form rounded w + r to w and reported -1e-42, e times too large
+        code, stdout, _ = run_cli(
+            ["experiment", "alpha-bound", "--w", str(10**42), "--r", "1", "--grid", "10",
+             "--json"],
+            capsys,
+        )
+        assert code == 0
+        deviation = json.loads(stdout)["measured"]["max_deviation"]
+        assert math.isclose(deviation, -math.exp(-1) / (10**42 + 1), rel_tol=1e-9)
 
     @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
     def test_each_experiment_names_its_missing_flags(self, name, capsys):

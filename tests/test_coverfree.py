@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misrecon import coverfree
 from misrecon.coverfree import (
@@ -309,6 +311,13 @@ class TestAlphaProductBound:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_never_exceeds_closed_form(self, w, r):
         assert alpha_product_bound(w, r, 10_001) <= 1e-12
+
+    # a two-point grid {0, 1} has maximum 0, so the deviation is minus the peak
+    @settings(deadline=None, max_examples=150)
+    @given(w=st.integers(1, 39), r=st.integers(1, 39))
+    def test_peak_equals_exact_fraction(self, w, r):
+        exact = Fraction(w, w + r) ** w * Fraction(r, w + r) ** r
+        assert abs(Fraction(-alpha_product_bound(w, r, 2)) - exact) <= 1e-14
 
 
 def exact_expected_survivors(f: SetFamily, w: int, r: int) -> Fraction:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from conftest import cli_env
 from misrecon import graphs as lib_graphs
-from misrecon import lowerbounds, oracle, reconstruct, schemes, util
+from misrecon import coverfree, lowerbounds, oracle, reconstruct, schemes, util
 from misrecon.coverfree import (
     CffConstructionError,
     SetFamily,
@@ -195,11 +195,15 @@ class TestRandomSetFamily:
         # n up to 2^t, so duplicates are common and redraw rounds run
         n = 2**t if data is None else data.draw(st.integers(0, 2**t))
         outcomes = []
-        for build in (random_set_family, ref.random_set_family):
-            try:
-                outcomes.append(build(n, t, density, seed, max_rounds))
-            except CffConstructionError as exc:
-                outcomes.append(str(exc))
+        # the library reads its round budget from the module, the reference
+        # takes it as an argument
+        with patch.object(coverfree, "MAX_ROUNDS", max_rounds):
+            for build in (lambda: random_set_family(n, t, density, seed),
+                          lambda: ref.random_set_family(n, t, density, seed, max_rounds)):
+                try:
+                    outcomes.append(build())
+                except CffConstructionError as exc:
+                    outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
 
@@ -301,7 +305,7 @@ class TestEdgelessShortcut:
     def test_dense_induced_subgraph(self, case, seed, index):
         random_answer(case, seed, index)
 
-    def test_edgeless_queries_seed_no_generator(self, monkeypatch):
+    def test_edgeless_queries_hash_no_ranks(self, monkeypatch):
         def refuse(seed, index, count):
             raise AssertionError("seeded a generator")
 
@@ -381,7 +385,7 @@ class TestRandomMisPolicyShapes:
     )
     @checked
     @given(data=st.data(), seed=SEEDS, index=st.integers(0, 2**32))
-    def test_equals_fresh_generator_per_query(self, inner_edges, data, seed, index):
+    def test_equals_fresh_ranks_per_query(self, inner_edges, data, seed, index):
         g, q = data.draw(query_with_inner_edges(inner_edges))
         policy, reference = RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
         # the whole vertex set first, so that an answer carried over would show
@@ -476,8 +480,12 @@ class TestRunSchemeMemo:
         masks = scheme.masks
         assert policy.asked == [(q, masks.index(q)) for q in dict.fromkeys(masks)]
 
-    @pytest.mark.parametrize("policy", [GreedyLexPolicy(), RandomMisPolicy(3)])
+    @pytest.mark.parametrize("policy", [
+        GreedyLexPolicy(), RandomMisPolicy(3),
+        AdversarialCliquePolicy(lib_graphs.clique_family_desc(4, 2)),
+    ])
     def test_each_distinct_pair_is_checked_once(self, policy, monkeypatch):
+        # no policy runs a check of its own: run_scheme makes every one
         checked_pairs = []
 
         def counting_is_mis(g, q, a):
@@ -485,7 +493,10 @@ class TestRunSchemeMemo:
             return is_mis(g, q, a)
 
         monkeypatch.setattr(oracle, "is_mis", counting_is_mis)
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # the path 0-1-2-3
+        if isinstance(policy, AdversarialCliquePolicy):
+            g = Graph(4, [(0, 1), (0, 2)])  # a member: U = {0} joined to 1 and 2
+        else:
+            g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # the path 0-1-2-3
         masks = [0b1111, 0b0101, 0b0111, 0b1111, 0b0101, 0b0011, 0b0111, 0b1111]
         scheme = QueryScheme(4, tuple(masks))
         transcript = run_scheme(g, scheme, policy)
@@ -804,3 +815,67 @@ class TestHiddenCliqueFamilies:
                         lowerbounds.family_count_check(n, delta, variant)
                     continue
                 assert lowerbounds.family_count_check(n, delta, variant).to_json() == want
+
+
+@st.composite
+def family_descs(draw, max_n=7):
+    """Plain and blocked hidden-clique families with U and W anywhere, on n
+    up to max_n vertices, each with room for its members."""
+    blocked = draw(st.booleans())
+    delta = draw(st.sampled_from([3, 4, 5] if blocked else [1, 2, 3, 4]))
+    u_size, w_size, _ = lib_graphs.family_shape(delta, blocked)
+    n = draw(st.integers(delta + 1, max_n))
+    order = draw(st.permutations(range(n)))
+    return lib_graphs.AdversarialFamilyDesc(
+        n, delta, mask_from_members(n, order[:u_size]),
+        mask_from_members(n, order[u_size : u_size + w_size]),
+    )
+
+
+def first_refused_index(g, scheme, policy):
+    """The first index whose answer the policy refuses with OracleError or
+    is_mis rejects, or None."""
+    for index, q in enumerate(scheme.masks):
+        try:
+            if not ref.is_mis(g, q, policy.answer(g, q, index)):
+                return index
+        except OracleError:
+            return index
+    return None
+
+
+class TestAdversarialAnswers:
+    """The one-pass clique adversary against the reference that checks its
+    own candidate: the same answers on family members, and on any other
+    graph a run refused at the index where the reference run is."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(desc=family_descs())
+    def test_equals_reference_on_every_member_and_query(self, desc):
+        policy, reference = AdversarialCliquePolicy(desc), ref.AdversarialCliquePolicy(desc)
+        for g in lib_graphs.enumerate_family(desc):
+            for q in range(1 << desc.n):
+                assert policy.answer(g, q, 0) == reference.answer(g, q, 0)
+
+    @checked
+    @given(data=st.data())
+    def test_run_refused_exactly_where_the_reference_run_is(self, data):
+        desc = data.draw(family_descs(max_n=8))
+        n = desc.n
+        if data.draw(st.booleans()):
+            g = data.draw(graphs(min_n=n, max_n=n))
+        else:
+            # a member with at most two pairs flipped, so that some runs pass
+            member = data.draw(st.sampled_from(list(lib_graphs.enumerate_family(desc))))
+            flips = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                                      max_size=2))
+            g = Graph(n, sorted(set(member.edges) ^ flips))
+        scheme = data.draw(pooled_scheme(n))
+        reference = ref.AdversarialCliquePolicy(desc)
+        refused = first_refused_index(g, scheme, reference)
+        if refused is None:
+            want = ref.run_scheme(g, scheme, reference)
+            assert run_scheme(g, scheme, AdversarialCliquePolicy(desc)) == want
+        else:
+            with pytest.raises(OracleError, match=f"^policy answer for query {refused} is not"):
+                run_scheme(g, scheme, AdversarialCliquePolicy(desc))

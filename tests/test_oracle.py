@@ -1,9 +1,11 @@
 """MIS computation, answer policies, and transcript recording."""
 
+import ast
 import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +50,31 @@ def test_every_exported_name_resolves():
     assert len(set(misrecon.__all__)) == len(misrecon.__all__)
     for name in misrecon.__all__:
         assert getattr(misrecon, name) is not None, name
+
+
+def test_only_run_scheme_and_consistency_check_call_is_mis():
+    # policies pick an answer and run_scheme checks it once: a check inside a
+    # policy would run a second time per answer
+    callers = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.scope = path, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "is_mis":
+                callers.add((self.path.name, self.scope[-1]))
+            self.generic_visit(node)
+
+    for path in sorted(Path(misrecon.__file__).parent.glob("*.py")):
+        Visitor(path).visit(ast.parse(path.read_text()))
+    assert callers == {("oracle.py", "run_scheme"), ("reconstruct.py", "consistency_check")}
 
 
 class TestIsMis:
