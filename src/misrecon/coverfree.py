@@ -370,14 +370,8 @@ def survivor_count_experiment(
     # ceilings can be mathematically tight) from float round-off
     slack = 5 * stderr + 1e-9
     checks = (
-        BoundCheck(
-            "mean_X_le_exact_ceiling", mean, "<=", exact_ceiling + slack,
-            mean <= exact_ceiling + slack,
-        ),
-        BoundCheck(
-            "mean_X_le_flat_ceiling", mean, "<=", flat_ceiling + slack,
-            mean <= flat_ceiling + slack,
-        ),
+        BoundCheck.of("mean_X_le_exact_ceiling", mean, "<=", exact_ceiling + slack),
+        BoundCheck.of("mean_X_le_flat_ceiling", mean, "<=", flat_ceiling + slack),
     )
     return ExperimentReport(
         name="survivor-count-sampling",
@@ -425,11 +419,7 @@ def cover_witness_search(
     outcomes = run_seeded_trials(trial, trials, seed)
     found = sum(1 for got, _ in outcomes if got)
     verified = sum(1 for got, ok in outcomes if got and ok)
-    checks = (
-        BoundCheck(
-            "witnesses_verified", verified, "==", found, verified == found
-        ),
-    )
+    checks = (BoundCheck.of("witnesses_verified", verified, "==", found),)
     return ExperimentReport(
         name="cover-witness-search",
         parameters={

@@ -1,4 +1,4 @@
-"""Undirected simple graphs over vertices 0..n-1 with tracked maximum degree.
+"""Undirected simple graphs over vertices 0..n-1 and their maximum degree.
 
 Adjacency is stored as one integer bitmask per vertex, which keeps the
 induced-subgraph and independence kernels branch-light: a set of vertices is
@@ -24,12 +24,15 @@ from typing import Iterable, Iterator
 from .util import CapExceededError, iter_bits, mask_from_members, member_tuple, shuffle
 
 ENUM_CAP = 10**6
+# vertex pairs C(n, 2) of the dense per-pair work: the candidate edges of
+# gen_bounded_degree and the n x n matrices of reconstruct.decode
+VERTEX_PAIR_CAP = 5 * 10**6
 
 
 class Graph:
     """Immutable simple graph; vertices are 0..n-1, no self-loops."""
 
-    __slots__ = ("n", "_adj", "delta")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -44,7 +47,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self.delta = max((a.bit_count() for a in adj), default=0)
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -55,14 +57,18 @@ class Graph:
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
     @classmethod
-    def _from_masks(cls, masks: tuple[int, ...], delta: int) -> "Graph":
-        """The graph of valid adjacency masks with maximum degree delta,
-        unchecked: callers vouch for both."""
+    def _from_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph of adjacency masks that are symmetric and loop-free,
+        unchecked."""
         g = cls.__new__(cls)
         g.n = len(masks)
         g._adj = masks
-        g.delta = delta
         return g
+
+    @property
+    def delta(self) -> int:
+        """The maximum degree, 0 for a graph without vertices."""
+        return max((a.bit_count() for a in self._adj), default=0)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -168,17 +174,28 @@ class AdversarialFamilyDesc:
         return member_tuple(self.clique), member_tuple(self.forced_block), rest
 
 
+def check_vertex_pair_cap(n: int) -> None:
+    """CapExceededError when n vertices have more than VERTEX_PAIR_CAP pairs:
+    the refusal of gen_bounded_degree and reconstruct.decode, which a caller
+    can make first."""
+    pairs = math.comb(max(n, 0), 2)
+    if pairs > VERTEX_PAIR_CAP:
+        raise CapExceededError(f"{pairs} vertex pairs of n={n} exceed cap {VERTEX_PAIR_CAP}")
+
+
 def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
     """Random graph with max degree <= delta.
 
     Candidate edges are visited in a seeded random order and inserted with
     probability `density`, rejecting insertions whose endpoints are already
-    saturated. density=1 with delta=n-1 yields the complete graph.
+    saturated. density=1 with delta=n-1 yields the complete graph. Refused
+    over VERTEX_PAIR_CAP candidates.
     """
     if not 0 <= delta <= max(n - 1, 0):
         raise ValueError("delta must be in [0, n-1]")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must be in [0, 1]")
+    check_vertex_pair_cap(n)
     rng = random.Random(seed)
     candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
     shuffle(rng, candidates)
@@ -213,7 +230,7 @@ def _family_member(desc: AdversarialFamilyDesc, rng: random.Random) -> Graph:
         for v in rng.sample(rest, desc.per_clique_free_slots):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return Graph._from_masks(tuple(adj), desc.delta)
+    return Graph._from_masks(tuple(adj))
 
 
 def sample_clique_family(n: int, delta: int, seed: int) -> tuple[Graph, AdversarialFamilyDesc]:
@@ -289,16 +306,13 @@ def enumerate_family(desc: AdversarialFamilyDesc) -> Iterator[Graph]:
         (mask_from_members(desc.n, chosen), chosen)
         for chosen in itertools.combinations(rest, desc.per_clique_free_slots)
     ]
-    # a clique vertex has degree (|U|-1) + |W| + slots = delta, and any
-    # other vertex at most |U| <= delta
-    delta = desc.delta
     for choices in itertools.product(per_vertex, repeat=len(clique)):
         adj = base.copy()
         for u, (mask, chosen) in zip(clique, choices):
             adj[u] |= mask
             for v in chosen:
                 adj[v] |= 1 << u
-        yield Graph._from_masks(tuple(adj), delta)
+        yield Graph._from_masks(tuple(adj))
 
 
 def enumerate_clique_family(n: int, delta: int) -> Iterator[Graph]:
@@ -340,26 +354,22 @@ def enumerate_bounded_degree_graphs(n: int, delta: int) -> tuple[Graph, ...]:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[Graph] = []
 
-    def rec(i: int, adj: list[int], deg: list[int]):
+    def rec(i: int, adj: list[int]):
         if i == len(pairs):
             if len(out) >= ENUM_CAP:
                 raise CapExceededError(f"graph enumeration exceeds cap {ENUM_CAP}")
-            out.append(Graph._from_masks(tuple(adj), max(deg, default=0)))
+            out.append(Graph._from_masks(tuple(adj)))
             return
         u, v = pairs[i]
-        rec(i + 1, adj, deg)
-        if deg[u] < delta and deg[v] < delta:
+        rec(i + 1, adj)
+        if adj[u].bit_count() < delta and adj[v].bit_count() < delta:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            rec(i + 1, adj, deg)
+            rec(i + 1, adj)
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
 
-    rec(0, [0] * n, [0] * n)
+    rec(0, [0] * n)
     return tuple(out)
 
 

@@ -16,7 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Graph, pairs_from_lines, pairs_to_text, read_graph_lines
+from .graphs import (
+    Graph, check_vertex_pair_cap, pairs_from_lines, pairs_to_text, read_graph_lines,
+)
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
 from .util import derive_seed, masks_to_bits, rate_stderr, run_seeded_trials
@@ -46,9 +48,11 @@ class DecodeResult:
 
 
 def decode(n: int, transcript: Transcript) -> DecodeResult:
-    """Classify every unordered pair from the transcript evidence."""
+    """Classify every unordered pair from the transcript evidence; refused
+    over graphs.VERTEX_PAIR_CAP pairs."""
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
+    check_vertex_pair_cap(n)
     # co-occurrence is a union over masks, so each distinct mask is unpacked
     # once; a scheme repeats queries, so the pairs are deduped first
     pairs = dict.fromkeys(transcript.masks)

@@ -9,6 +9,7 @@ keep CLI output byte-reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -24,15 +25,26 @@ def _plain(value: Any) -> Any:
     return value
 
 
+# the relations a check can assert; "=>" is implication between truth values
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
+              "=>": lambda premise, conclusion: not premise or conclusion}
+
+
 @dataclass(frozen=True)
 class BoundCheck:
-    """One asserted inequality: `measured relation bound`."""
+    """One asserted relation: `measured relation bound`."""
 
     name: str
     measured: Any
     relation: str
     bound: Any
     passed: bool
+
+    @classmethod
+    def of(cls, name: str, measured: Any, relation: str, bound: Any) -> "BoundCheck":
+        """The check whose verdict is `measured relation bound` itself."""
+        passed = bool(_RELATIONS[relation](measured, bound))
+        return cls(name, measured, relation, bound, passed)
 
     def format(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

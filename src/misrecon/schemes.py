@@ -231,7 +231,6 @@ class DualityReport:
     """Both cover-free duality directions evaluated on one scheme: each
     checker's result, True or its falsy first violation."""
 
-    delta: int
     scheme_result: SchemeViolation | bool
     necessary_result: CoverViolation | bool
     sufficient_result: CoverViolation | bool
@@ -272,7 +271,6 @@ def duality_check(scheme: QueryScheme, delta: int) -> DualityReport:
     scheme_result = is_query_scheme(scheme, delta)
     dual_family = scheme.dual_family()
     return DualityReport(
-        delta,
         scheme_result,
         is_cover_free(dual_family, 2, 2 * delta - 2),
         is_cover_free(dual_family, 2, 2 * delta),

@@ -103,6 +103,15 @@ _DRAW_ELEMENTS = 1 << 20
 DRAW_CAP_BITS = 1 << 30
 
 
+def check_draw_cap(rows: int, width: int) -> None:
+    """CapExceededError when rows * max(width, 64) exceeds DRAW_CAP_BITS: the
+    refusal of bernoulli_rows, which a caller can make first."""
+    if rows * max(width, 64) > DRAW_CAP_BITS:
+        raise CapExceededError(
+            f"random draw of {rows} rows of {width} bits exceeds cap {DRAW_CAP_BITS} bits"
+        )
+
+
 def _random_keys(rng: random.Random, m: int) -> np.ndarray:
     """The 53-bit integers k with k * 2**-53 equal to the next m rng.random().
 
@@ -120,12 +129,8 @@ def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[
     """rows masks of width bits; bit j of row i is set when the (i*width + j)-th
     next rng.random() is below p. For 0 <= p <= 1 the masks, and rng's state
     afterwards, are exactly those of making that many random() calls.
-    CapExceededError, before any draw, when rows * max(width, 64) exceeds
-    DRAW_CAP_BITS."""
-    if rows * max(width, 64) > DRAW_CAP_BITS:
-        raise CapExceededError(
-            f"random draw of {rows} rows of {width} bits exceeds cap {DRAW_CAP_BITS} bits"
-        )
+    CapExceededError, before any draw, when check_draw_cap refuses."""
+    check_draw_cap(rows, width)
     # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
     threshold = math.ceil(p * 2**53)
     block = min(_DRAW_ROWS, max(1, _DRAW_ELEMENTS // max(width, 1)))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env
-from misrecon import cli
+from misrecon import cli, graphs, schemes
 from misrecon.cli import main
 from misrecon.graphs import graph_from_text
 
@@ -45,6 +45,17 @@ class TestGenerate:
         )
         assert code == 0
         assert graph_from_text(out.read_text()).num_edges == 0
+
+    def test_vertex_pairs_over_cap_exit_three(self, capsys):
+        # 4.5e8 candidate edges, about 54 GB, used to end in a MemoryError
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["generate", "--family", "random", "--n", "30000", "--delta", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert err == "capacity exceeded: 449985000 vertex pairs of n=30000 exceed cap 5000000\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_parameters_exit_nonzero(self, capsys):
         code, _, err = run_cli(
@@ -122,6 +133,35 @@ class TestReconstruct:
         assert code == 2
         assert message in err
         assert "Traceback" not in err and not stdout
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n", "6", "--delta", "0", "--scheme-kind", "cff"], "need delta >= 1"),
+            (["--n", "6", "--delta", "0", "--scheme-kind", "randomized"], "need delta >= 1"),
+            (["--n", "1", "--delta", "0", "--scheme-kind", "randomized"], "need n >= 2"),
+        ],
+        ids=["cff-delta", "randomized-delta", "randomized-n"],
+    )
+    def test_bad_scheme_parameters_exit_two(self, args, message, capsys):
+        code, stdout, err = run_cli(["reconstruct", *args, "--seed", "1"], capsys)
+        assert (code, err, stdout) == (2, f"error: {message}\n", "")
+
+    def test_vertex_pairs_over_cap_refused_before_generating(self, monkeypatch, capsys):
+        # the thm2 sampler is O(n), but decode would ask for a 9.31 GiB n x n Gram
+        def refuse(*args):
+            raise AssertionError("generated a graph")
+
+        monkeypatch.setattr(cli, "_generate_graph", refuse)
+        start = time.perf_counter()
+        code, stdout, err = run_cli(
+            ["reconstruct", "--n", "50000", "--delta", "1", "--family", "thm2", "--seed", "1",
+             "--scheme-kind", "randomized", "--c", "0.01"],
+            capsys,
+        )
+        assert (code, stdout) == (3, "")
+        assert err == "capacity exceeded: 1249975000 vertex pairs of n=50000 exceed cap 5000000\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_transcript_output(self, tmp_path, capsys):
         tr = tmp_path / "tr.jsonl"
@@ -274,6 +314,20 @@ class TestExperimentDispatch:
               "--seed", "1"], "parameter too large"),
             (["alpha-bound", "--w", str(10**400), "--r", "1", "--grid", "10"],
              "parameter too large"),
+            (["lemma7", "--w", "1", "--r", "1", "--seed", "1"],
+             "need --family FILE or --sets/--ground for a random family"),
+            (["lemma7", "--sets", "4", "--ground", "6", "--density", "1.5", "--w", "1",
+              "--r", "1", "--seed", "1"], "density must be in [0, 1]"),
+            (["duality", "--n", "6", "--delta", "2", "--queries", "1"],
+             "random scheme needs --seed"),
+            (["duality", "--delta", "2", "--queries", "1", "--seed", "1"],
+             "random scheme needs --n"),
+            (["exact-t", "--n", "2", "--w", "2", "--r", "1"], "need w + r <= n"),
+            (["alpha-bound", "--w", "1", "--r", "1", "--grid", "1"], "grid_size must be >= 2"),
+            (["dq-stats", "--n", "1", "--delta", "3", "--seed", "1"],
+             "n too small for the requested delta"),
+            (["dq-stats", "--n", "10", "--delta", "3", "--queries", "0", "--seed", "1"],
+             "scheme generator produced no queries"),
         ],
     )
     def test_negative_parameter_exits_two(self, args, message, capsys):
@@ -448,6 +502,48 @@ class TestExperimentDispatch:
         assert code == 3 and not stdout
         assert err == "capacity exceeded: family size 499998500001 exceeds cap 1000000\n"
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "args, answers",
+        [
+            (["profile-count", "--n", "12", "--delta", "4", "--queries", "300"],
+             "300 queries x 14400 = 4320000"),
+            (["dq-stats", "--n", "10", "--delta", "3", "--queries", "100000", "--trials", "100"],
+             "100000 queries x 100 = 10000000"),
+        ],
+        ids=["profile-count", "dq-stats"],
+    )
+    def test_answer_cap_is_refused_before_the_draw(self, args, answers, monkeypatch, capsys):
+        # uncapped these took 9.2 s and 16.6 s, and the held answers grow without bound
+        def refuse(*args):
+            raise AssertionError("drew a scheme")
+
+        monkeypatch.setattr(cli, "random_queries", refuse)
+        start = time.perf_counter()
+        code, stdout, err = run_cli(["experiment", *args, "--seed", "1"], capsys)
+        assert (code, stdout) == (3, "")
+        assert err == f"capacity exceeded: {answers} answers exceed cap 1000000\n"
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "cap, value, message",
+        [
+            # 253 graphs of max degree <= 2 on 5 vertices make 31,878 pairs,
+            # their 26 matchings only 325: refused after the enumeration
+            ("PAIR_CAP", 1000, "31878 graph pairs exceed cap 1000"),
+            # 26 matchings pass the up-front check; the recursion stops at the cap
+            ("ENUM_CAP", 100, "graph enumeration exceeds cap 100"),
+        ],
+    )
+    def test_duality_enumeration_refusals_exit_three(self, cap, value, message, set_cap, capsys):
+        # at the shipped caps, n = 8 and n = 9 reach these refusals in 1.0 s and 4.6 s
+        set_cap(schemes if cap == "PAIR_CAP" else graphs, cap, value)
+        code, stdout, err = run_cli(
+            ["experiment", "duality", "--n", "5", "--delta", "2", "--queries", "1",
+             "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout, err) == (3, "", f"capacity exceeded: {message}\n")
 
     def test_alpha_bound_peak_keeps_its_precision_past_two_to_the_53(self, capsys):
         # the float form rounded w + r to w and reported -1e-42, e times too large

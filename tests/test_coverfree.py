@@ -148,6 +148,15 @@ class TestIsCoverFree:
     def test_disjoint_singletons(self):
         assert is_cover_free(fam(3, [0], [1], [2]), 1, 2) is True
 
+    @pytest.mark.parametrize(
+        "w, r, message",
+        [(0, 1, "need w >= 1 and r >= 0"), (1, -1, "need w >= 1 and r >= 0"),
+         (4, 0, "w = 4 exceeds family size 3")],
+    )
+    def test_bad_parameters_rejected(self, w, r, message):
+        with pytest.raises(ValueError, match=message):
+            is_cover_free(fam(3, [0], [1], [2]), w, r)
+
     def test_union_cover_witness(self):
         result = is_cover_free(fam(2, [0, 1], [0], [1]), 1, 2)
         assert isinstance(result, CoverViolation)
@@ -211,6 +220,17 @@ class TestIsCoverFree:
 
 
 class TestRandomCff:
+    @pytest.mark.parametrize(
+        "n, w, r, c, message",
+        [(4, 0, 1, 2.0, "need w, r >= 1"), (4, 1, 0, 2.0, "need w, r >= 1"),
+         (4, 5, 1, 2.0, "need w <= n"),
+         (4, 1, 1, 0.0, "oversampling constant must be positive"),
+         (4, 1, 1, -1.0, "oversampling constant must be positive")],
+    )
+    def test_bad_parameters_rejected(self, n, w, r, c, message):
+        with pytest.raises(ValueError, match=message):
+            random_cff(n, w, r, c=c, seed=0)
+
     def test_small_families_verify(self):
         # brute-force verification loop over seeds
         good = sum(

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,25 @@ class TestGraph:
         for g in (Graph.empty(1), Graph.complete(6), path_graph(4)):
             assert 0 <= g.delta <= g.n - 1
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [(-1, [], "n must be >= 0"), (3, [(0, 5)], "edge (0,5) outside vertex range")],
+    )
+    def test_bad_vertex_count_or_edge_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(n, edges)
+
+    def test_from_masks_takes_the_masks_only(self):
+        # the maximum degree is worked out from the masks, never passed in
+        assert list(inspect.signature(Graph._from_masks).parameters) == ["masks"]
+
+    def test_delta_is_the_recomputed_maximum_degree(self):
+        blocked = AdversarialFamilyDesc(n=8, delta=3, clique=0b1, forced_block=0b10)
+        members = [*enumerate_bounded_degree_graphs(5, 2), *enumerate_family(blocked)]
+        for g in members:
+            degrees = [sum(g.has_edge(u, v) for v in range(g.n)) for u in range(g.n)]
+            assert g.delta == max(degrees)
+
     def test_equality_and_hash(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, [(0, 1)]))
@@ -104,6 +124,14 @@ class TestBoundedDegreeGenerator:
             gen_bounded_degree(5, 10, 0.5, seed=0)
         with pytest.raises(ValueError):
             gen_bounded_degree(5, 2, 1.5, seed=0)
+
+    def test_vertex_pairs_over_cap_refused(self, set_cap):
+        # the cap admits the n = 2000 graphs of the large reconstruction regime
+        assert math.comb(2000, 2) <= graphs.VERTEX_PAIR_CAP < math.comb(30000, 2)
+        set_cap(graphs, "VERTEX_PAIR_CAP", 10)
+        assert gen_bounded_degree(5, 4, 1.0, seed=3) == Graph.complete(5)
+        with pytest.raises(CapExceededError, match=r"^15 vertex pairs of n=6 exceed cap 10$"):
+            gen_bounded_degree(6, 2, 0.5, seed=0)
 
 
 class TestCliqueFamilySampler:

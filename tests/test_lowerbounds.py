@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from misrecon import lowerbounds
 from misrecon.graphs import enumerate_clique_family, enumerate_family, clique_family_desc
 from misrecon.lowerbounds import (
     best_decoder_success,
@@ -18,7 +19,7 @@ from misrecon.lowerbounds import (
     profile_count,
 )
 from misrecon.schemes import QueryScheme, random_queries
-from misrecon.util import mask_from_members
+from misrecon.util import CapExceededError, mask_from_members
 
 
 def pair_scheme(n):
@@ -70,6 +71,23 @@ class TestProfileCount:
         scheme = random_queries(12, 3, 0.5, seed=seed)
         report = profile_count(scheme, family, desc)
         assert report.passed
+
+
+    def test_answers_over_cap_refused_before_answering(self, set_cap):
+        # 2 queries over the 28 members hold 56 answers
+        desc = clique_family_desc(9, 2)
+        scheme = random_queries(9, 2, 0.5, seed=1)
+        set_cap(lowerbounds, "ANSWER_CAP", 56)
+        assert profile_count(scheme, clique_members(9, 2), desc).passed
+
+        def unanswerable():
+            raise AssertionError("answered a member")
+            yield
+
+        set_cap(lowerbounds, "ANSWER_CAP", 55)
+        for count in (profile_count, best_decoder_success):
+            with pytest.raises(CapExceededError, match=r"^2 queries x 28 = 56 answers exceed cap 55$"):
+                count(scheme, unanswerable(), desc)
 
 
 class TestBestDecoderSuccess:
@@ -124,6 +142,21 @@ class TestDqStatistics:
         )
         assert report.passed
         assert report.measured["mean_log_answers"] <= 4.0
+
+    def test_answers_over_cap_refused_after_the_first_trial(self, set_cap):
+        drawn = []
+
+        def scheme_gen(seed):
+            drawn.append(seed)
+            return QueryScheme(30, (0,) * 5)
+
+        set_cap(lowerbounds, "ANSWER_CAP", 50)
+        assert dq_statistics(30, 6, scheme_gen, 10, seed=1).measured["samples_log"] == 50
+        set_cap(lowerbounds, "ANSWER_CAP", 49)
+        drawn.clear()
+        with pytest.raises(CapExceededError, match=r"^5 queries x 10 = 50 answers exceed cap 49$"):
+            dq_statistics(30, 6, scheme_gen, 10, seed=1)
+        assert len(drawn) == 1
 
     def test_small_delta_rejected(self):
         with pytest.raises(ValueError):

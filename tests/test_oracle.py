@@ -307,6 +307,12 @@ class TestTranscript:
         with pytest.raises(ValueError):
             Transcript.from_text(4, "not json\n")
 
+    def test_blank_lines_skipped(self):
+        line = '{"query":[0,1],"answer":[0]}\n'
+        assert Transcript.from_text(4, "\n" + line + "  \n\n" + line) == Transcript(
+            4, ((0b11, 0b01), (0b11, 0b01))
+        )
+
     @pytest.mark.parametrize(
         "line",
         [

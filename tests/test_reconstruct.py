@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misrecon import graphs, reconstruct
 from misrecon.graphs import Graph, gen_bounded_degree
 from misrecon.oracle import (
     GreedyLexPolicy,
@@ -23,7 +24,7 @@ from misrecon.reconstruct import (
     success_rate,
 )
 from misrecon.schemes import QueryScheme, cff_scheme, random_queries
-from misrecon.util import mask_from_members
+from misrecon.util import CapExceededError, mask_from_members
 
 
 def pair_scheme(n):
@@ -42,6 +43,24 @@ def path_graph(n):
 
 
 class TestDecode:
+    def test_transcript_over_another_universe_rejected(self):
+        transcript = run_scheme(Graph.empty(4), pair_scheme(4), GreedyLexPolicy())
+        with pytest.raises(ValueError, match="transcript universe mismatch"):
+            decode(5, transcript)
+
+    def test_vertex_pairs_over_cap_refused_before_any_matrix(self, set_cap, monkeypatch):
+        transcript = run_scheme(Graph.empty(6), pair_scheme(6), GreedyLexPolicy())
+        set_cap(graphs, "VERTEX_PAIR_CAP", 15)
+        assert decode(6, transcript).complete
+        set_cap(graphs, "VERTEX_PAIR_CAP", 14)
+
+        def refuse(*args):
+            raise AssertionError("built a co-occurrence matrix")
+
+        monkeypatch.setattr(reconstruct, "_co_occurs", refuse)
+        with pytest.raises(CapExceededError, match=r"^15 vertex pairs of n=6 exceed cap 14$"):
+            decode(6, transcript)
+
     def test_empty_graph_decodes_empty(self):
         g = Graph.empty(5)
         transcript = run_scheme(g, pair_scheme(5), GreedyLexPolicy())

@@ -82,6 +82,13 @@ class TestCffScheme:
         assert len(scheme) == family.ground_size
         assert scheme.dual_family() == family
 
+    def test_builder_with_wrong_set_count_rejected(self):
+        def builder(n, w, r, seed):
+            return SetFamily.from_sets(n + 1, ([v] for v in range(n + 1)))
+
+        with pytest.raises(SchemeConstructionError, match="builder produced 6 sets, expected 5"):
+            cff_scheme(5, 1, builder=builder, seed=0)
+
     def test_singleton_identity_family_rejected(self):
         def builder(n, w, r, seed):
             return SetFamily.from_sets(n, ([v] for v in range(n)))
