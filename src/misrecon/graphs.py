@@ -81,9 +81,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self._adj) // 2
 
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
-
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
         return self._adj

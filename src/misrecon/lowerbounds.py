@@ -200,7 +200,7 @@ def _chain_checks(values) -> tuple[BoundCheck, ...]:
     return tuple(checks)
 
 
-def family_count_check(n: int, delta: int, variant: str = "clique") -> ExperimentReport:
+def family_count_check(n: int, delta: int, blocked: bool = False) -> ExperimentReport:
     """Exact hidden-clique family size and its closed-form lower-bound chain.
 
     For the plain clique variant the chain is
@@ -211,9 +211,6 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
     fractional exponents are removed by raising the whole chain to the 4th
     (resp. 9th) power.
     """
-    if variant not in ("clique", "clique-block"):
-        raise ValueError("variant must be 'clique' or 'clique-block'")
-    blocked = variant == "clique-block"
     u_size, w_size, slots = family_shape(delta, blocked)
     power = 9 if blocked else 4
     exact = family_size(n, delta, blocked)
@@ -231,7 +228,7 @@ def family_count_check(n: int, delta: int, variant: str = "clique") -> Experimen
     return ExperimentReport(
         name="family-count-chain",
         parameters={
-            "n": n, "delta": delta, "variant": variant,
+            "n": n, "delta": delta, "variant": "clique-block" if blocked else "clique",
             "clique_size": u_size, "block_size": w_size,
             "free_slots": slots,
         },

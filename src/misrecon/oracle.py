@@ -136,8 +136,9 @@ class AdversarialCliquePolicy:
             raise ValueError("family descriptor does not match the graph's vertices")
         _check_query(g.n, q)
         outside = q & ~self.desc.clique
+        adj = g.adjacency_masks
         for u in iter_bits(q & self.desc.clique):
-            if not g.adjacency_mask(u) & outside:
+            if not adj[u] & outside:
                 return outside | 1 << u
         return outside
 

@@ -137,19 +137,17 @@ def success_rate(
     policy_gen: Callable[[int], object],
     trials: int,
     seed: int,
-    unknown_as_nonedge: bool = False,
 ) -> SuccessReport:
     """Fraction of trials whose decoded graph equals the hidden truth.
 
     Each trial draws (graph, scheme, policy) from per-trial seeds derived
-    from (seed, index); a trial succeeds only on an exact, complete match
-    (or exact match after forcing unknowns to non-edges when requested).
+    from (seed, index); a trial succeeds only on an exact, complete match.
     """
     def trial(trial_seed: int) -> bool:
         g = graph_gen(derive_seed(trial_seed, 0))
         scheme = scheme_gen(derive_seed(trial_seed, 1))
         policy = policy_gen(derive_seed(trial_seed, 2))
-        return decode(g.n, run_scheme(g, scheme, policy)).matches(g, unknown_as_nonedge)
+        return decode(g.n, run_scheme(g, scheme, policy)).matches(g)
 
     outcomes = run_seeded_trials(trial, trials, seed)
     successes = sum(outcomes)

@@ -20,6 +20,7 @@ from . import coverfree
 from .coverfree import CoverViolation, SetFamily, is_cover_free, random_cff, read_rows
 from .graphs import Graph, enumerate_bounded_degree_graphs, matching_count
 from .oracle import _check_query, is_mis  # noqa: F401  perfbench wraps schemes.is_mis
+from .reports import BoundCheck
 from .util import (
     CapExceededError, bernoulli_rows, derive_seed, iter_bits, mask_from_members, member_tuple,
 )
@@ -248,18 +249,19 @@ class DualityReport:
         return bool(self.sufficient_result)
 
     @property
-    def necessity_holds(self) -> bool:
-        """query scheme implies the dual is (2, 2*delta-2)-cover-free."""
-        return not self.is_scheme or self.dual_cover_free_necessary
-
-    @property
-    def sufficiency_holds(self) -> bool:
-        """dual (2, 2*delta)-cover-free implies a query scheme."""
-        return not self.dual_cover_free_sufficient or self.is_scheme
+    def checks(self) -> tuple[BoundCheck, BoundCheck]:
+        """The two implications: a query scheme has a (2, 2*delta-2)-cover-free
+        dual, and a (2, 2*delta)-cover-free dual makes a query scheme."""
+        return (
+            BoundCheck.of("scheme_implies_dual_cover_free",
+                          self.is_scheme, "=>", self.dual_cover_free_necessary),
+            BoundCheck.of("dual_cover_free_implies_scheme",
+                          self.dual_cover_free_sufficient, "=>", self.is_scheme),
+        )
 
     @property
     def ok(self) -> bool:
-        return self.necessity_holds and self.sufficiency_holds
+        return all(c.passed for c in self.checks)
 
 
 def duality_check(scheme: QueryScheme, delta: int) -> DualityReport:

@@ -95,10 +95,10 @@ def is_mis(g: Graph, q: int, i: int) -> bool:
     """Per-vertex definition: no member has a neighbour in i, and every other
     vertex of q has one (q and i are masks)."""
     for v in iter_bits(i):
-        if g.adjacency_mask(v) & i:
+        if g.adjacency_masks[v] & i:
             return False
     for v in iter_bits(q & ~i):
-        if not g.adjacency_mask(v) & i:
+        if not g.adjacency_masks[v] & i:
             return False
     return True
 
@@ -107,7 +107,7 @@ def greedy_mis(g: Graph, q: int, order) -> int:
     """Scan order, adding each vertex of q that has no chosen neighbour."""
     mis = 0
     for v in order:
-        if q >> v & 1 and not g.adjacency_mask(v) & mis:
+        if q >> v & 1 and not g.adjacency_masks[v] & mis:
             mis |= 1 << v
     return mis
 
@@ -154,7 +154,7 @@ class AdversarialCliquePolicy:
         if is_mis(g, q, outside):
             return outside
         for u in iter_bits(q & self.desc.clique):
-            if not g.adjacency_mask(u) & outside:
+            if not g.adjacency_masks[u] & outside:
                 return outside | 1 << u
         raise OracleError("graph is not a member of the described clique family")
 
@@ -219,8 +219,11 @@ def mis_family(adj, qmask: int) -> frozenset:
 
 
 def max_degree(g: Graph) -> int:
-    """Maximum over all vertices of the neighbour count."""
-    return g.delta
+    """Maximum over all vertices of the neighbour count, each counted pair
+    by pair with has_edge."""
+    return max(
+        (sum(g.has_edge(u, v) for v in range(g.n)) for u in range(g.n)), default=0
+    )
 
 
 def induced_mis_context(g: Graph, q: int) -> dict[int, int]:
@@ -231,7 +234,7 @@ def induced_mis_context(g: Graph, q: int) -> dict[int, int]:
     """
     if q < 0 or q >> g.n:
         raise ValueError("query universe does not match graph")
-    return {v: g.adjacency_mask(v) & q for v in iter_bits(q)}
+    return {v: g.adjacency_masks[v] & q for v in iter_bits(q)}
 
 
 def common_mis(g: Graph, h: Graph, q: int) -> int | None:

@@ -2,8 +2,9 @@
 
 perfbench/run.py names the functions and policy methods its tracer wraps,
 perfbench/smoke.py checks that some of them are also bound under other
-module names, and perfbench/workloads.py takes len() of queries and answers
-and reads decode results and their text.
+module names, and perfbench/workloads.py takes len() of queries and answers,
+reads decode results and their text, duality and profile-count reports, and
+calls the scheme builders by keyword.
 perfbench/smoke.py takes seconds and is not part of this suite, so these
 checks keep a library change from breaking the benchmark unseen. run.py is
 read and executed in a fresh namespace, so no file under perfbench/ is
@@ -18,9 +19,11 @@ from pathlib import Path
 import pytest
 
 import misrecon
-from misrecon import coverfree, oracle, reconstruct, schemes
-from misrecon.graphs import gen_bounded_degree
-from misrecon.util import iter_bits
+from misrecon import coverfree, lowerbounds, oracle, reconstruct, schemes
+from misrecon.graphs import (
+    clique_family_desc, clique_family_size, enumerate_clique_family, gen_bounded_degree,
+)
+from misrecon.util import iter_bits, mask_from_members
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
@@ -88,3 +91,31 @@ def test_decode_result_surface_the_workloads_read():
     full = schemes.cff_scheme(6, 2, seed=1)
     complete = reconstruct.decode(6, oracle.run_scheme(g, full, oracle.GreedyLexPolicy()))
     assert complete.complete and complete.graph == g
+
+
+def test_duality_report_surface_the_workloads_read():
+    pairs = tuple(mask_from_members(4, (u, v)) for u in range(4) for v in range(u + 1, 4))
+    for scheme, is_scheme in ((schemes.QueryScheme(4, pairs), True),
+                              (schemes.random_queries(5, 6, 0.5, seed=1), False)):
+        report = schemes.duality_check(scheme, 1)
+        verdict = [report.is_scheme, report.dual_cover_free_necessary,
+                   report.dual_cover_free_sufficient, report.ok]
+        assert all(type(v) is bool for v in verdict)
+        assert report.is_scheme is is_scheme and report.ok
+
+
+def test_scheme_builders_take_the_keywords_the_workloads_pass():
+    def builder(n_, w_, r_, seed_):
+        return coverfree.random_cff(n_, w_, r_, c=2.0, seed=seed_)
+
+    scheme = schemes.cff_scheme(8, 1, builder=builder, seed=0, verify=True)
+    assert isinstance(scheme, schemes.QueryScheme) and scheme.n == 8
+
+
+def test_profile_count_surface_the_workloads_read():
+    desc = clique_family_desc(7, 2)
+    scheme = schemes.random_queries(7, 3, 0.5, seed=1)
+    report = lowerbounds.profile_count(scheme, list(enumerate_clique_family(7, 2)), desc)
+    assert type(report.measured["distinct_transcripts"]) is int
+    assert report.measured["family_size"] == clique_family_size(7, 2)
+    assert report.passed is True

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, file outputs, and reproducibility."""
 
+import ast
 import json
 import math
 import re
@@ -824,3 +825,24 @@ class TestReadmeExamples:
     def test_library_sketch_runs(self):
         # its asserts check the answers and the exact decode
         exec(compile(_readme_block("Library sketch", "python"), "README.md", "exec"), {})
+
+    def test_cap_table_matches_the_module_constants(self):
+        # the table's `module.NAME | 5·10^6` rows against the module-level
+        # *_CAP and DRAW_CAP_BITS assignments, read from the source unimported
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+\.\w+)` \| ([\d^·]+) \|", readme, re.M)
+        table = {name: math.prod(
+            int(base) ** int(exp or 1)
+            for base, _, exp in (f.partition("^") for f in value.split("·"))
+        ) for name, value in rows}
+        src = Path(cli.__file__).parent
+        constants = {}
+        for path in sorted(src.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)
+                        and re.fullmatch(r"[A-Z_]+_CAP|DRAW_CAP_BITS", node.targets[0].id)):
+                    value = eval(compile(ast.Expression(node.value), str(path), "eval"), {})
+                    constants[f"{path.stem}.{node.targets[0].id}"] = value
+        assert len(rows) == len(table)
+        assert table == constants

@@ -89,6 +89,12 @@ class TestProfileCount:
             with pytest.raises(CapExceededError, match=r"^2 queries x 28 = 56 answers exceed cap 55$"):
                 count(scheme, unanswerable(), desc)
 
+    @pytest.mark.parametrize("count", [profile_count, best_decoder_success])
+    def test_empty_family_refused(self, count):
+        desc = clique_family_desc(9, 2)
+        with pytest.raises(ValueError, match=r"^family is empty$"):
+            count(random_queries(9, 2, 0.5, seed=1), [], desc)
+
 
 class TestBestDecoderSuccess:
     def test_pair_scheme_separates_whole_family(self):
@@ -171,7 +177,7 @@ class TestFamilyCountCheck:
         assert report.passed
 
     def test_forced_block_example(self):
-        report = family_count_check(12, 3, variant="clique-block")
+        report = family_count_check(12, 3, blocked=True)
         assert report.measured["exact_count"] == 45  # C(10,2)
         assert report.passed
 

@@ -204,28 +204,6 @@ class TestSuccessRate:
         )
         assert report.rate == 0.0
 
-    def test_zero_query_scheme_completed_counts_empty_truths(self):
-        def graph_gen(s):
-            return gen_bounded_degree(6, 2, 0.9, seed=s)
-
-        report = success_rate(
-            graph_gen=graph_gen,
-            scheme_gen=lambda s: QueryScheme(6, ()),
-            policy_gen=lambda s: GreedyLexPolicy(),
-            trials=30,
-            seed=42,
-            unknown_as_nonedge=True,
-        )
-        # forcing unknowns to non-edges succeeds exactly on empty truths
-        from misrecon.util import derive_seed
-
-        empties = sum(
-            graph_gen(derive_seed(derive_seed(42, i), 0)).num_edges == 0
-            for i in range(30)
-        )
-        assert report.successes == empties
-        assert report.rate < 1.0
-
     def test_mixed_policies_with_pair_scheme(self):
         report = success_rate(
             graph_gen=lambda s: gen_bounded_degree(7, 2, 0.8, seed=s),

@@ -9,6 +9,7 @@ from misrecon import coverfree, schemes
 from misrecon.coverfree import CoverViolation, SetFamily, is_cover_free
 from misrecon.graphs import Graph, enumerate_bounded_degree_graphs
 from misrecon.schemes import (
+    DualityReport,
     QueryScheme,
     SchemeConstructionError,
     SchemeViolation,
@@ -220,6 +221,17 @@ class TestDualityCheck:
         assert report.necessary_result is True
         assert isinstance(report.sufficient_result, CoverViolation)
         assert not report.is_scheme and report.ok
+
+    @pytest.mark.parametrize(
+        "results, failed",
+        [((True, False, False), "scheme_implies_dual_cover_free"),
+         ((False, True, True), "dual_cover_free_implies_scheme")],
+    )
+    def test_a_broken_implication_fails_its_check(self, results, failed):
+        # results no checker returns, since both implications are theorems
+        report = DualityReport(*results)
+        assert [c.name for c in report.checks if not c.passed] == [failed]
+        assert not report.ok
 
 
 class TestSchemeFiles:
