@@ -42,6 +42,7 @@ from .schemes import (
     check_pair_cap,
     duality_check,
     random_queries,
+    randomized_query_count,
     randomized_scheme,
 )
 from .util import CapExceededError, check_draw_cap, derive_seed
@@ -102,9 +103,22 @@ def _build_scheme(args, n: int, delta: int) -> QueryScheme:
     return cff_scheme(n, delta, seed=scheme_seed)
 
 
+def _check_scheme_cap(args) -> None:
+    """Refuse a scheme that --scheme-kind would build over its cap: the
+    randomized scheme's draw, or the ground of the default cover-free family."""
+    if args.scheme is not None:
+        return
+    if args.scheme_kind == "randomized":
+        check_draw_cap(randomized_query_count(args.n, args.delta, args.c), args.n)
+    elif args.n >= 2 and args.delta >= 1:  # else cff_scheme refuses them by name
+        coverfree.check_ground_cap(coverfree.cff_ground_size(args.n, 2, 2 * args.delta, 2.0))
+
+
 def cmd_reconstruct(args) -> int:
-    # refuse on the pair cap of decode before generating, reading or answering
+    # refuse on the pair cap of decode and on the scheme's cap before
+    # generating, reading or answering
     check_vertex_pair_cap(args.n)
+    _check_scheme_cap(args)
     if args.graph is not None:
         truth = graph_from_text(Path(args.graph).read_text(), n=args.n)
         if truth.delta > args.delta:

@@ -48,7 +48,8 @@ GRID_CAP = 10**6
 MAX_ROUNDS = 100
 
 
-def _check_ground(t: int) -> None:
+def check_ground_cap(t: int) -> None:
+    """CapExceededError when a ground set of t elements exceeds GROUND_CAP."""
     if t > GROUND_CAP:
         raise CapExceededError(f"ground size {t} exceeds cap {GROUND_CAP}")
 
@@ -159,7 +160,7 @@ def dual(f: SetFamily) -> SetFamily:
     Equal entries are kept as distinct indexed sets; the incidence matrix is
     simply transposed, so dual is an involution on incidence.
     """
-    _check_ground(f.ground_size)
+    check_ground_cap(f.ground_size)
     return SetFamily(f.n, tuple(transpose_masks(f.masks, f.ground_size)))
 
 
@@ -248,7 +249,7 @@ def random_set_family(n: int, t: int, density: float, seed: int = 0) -> SetFamil
         raise ValueError(
             f"cannot draw {n} distinct sets: a ground set of {t} has 2^{t} subsets"
         )
-    _check_ground(t)
+    check_ground_cap(t)
     rng = random.Random(derive_seed(seed))
     masks = bernoulli_rows(rng, n, t, density)
     for _ in range(MAX_ROUNDS):

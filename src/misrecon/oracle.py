@@ -13,8 +13,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .graphs import AdversarialFamilyDesc, Graph
-from .util import iter_bits, keyed_ranks, mask_from_members, member_tuple
+from .util import (
+    bits_to_masks, iter_bits, keyed_ranks, mask_from_members, masks_to_bits, member_tuple,
+)
 
 
 class OracleError(RuntimeError):
@@ -80,42 +84,92 @@ class GreedyOrderPolicy:
         return _greedy_insert(g.adjacency_masks, [v for v in self.order if q >> v & 1])
 
 
+# query x vertex cells RandomMisPolicy.answers takes at a time, which bound
+# its temporaries: on a 3391-query scheme at n=200, Δ=8 its traced peak is
+# about 0.6 MB in blocks and about 7 MB in one piece
+_ANSWER_CELLS = 2**15
+
+
 class RandomMisPolicy:
     """Greedy under a fresh random order per query, keyed by (seed, index).
 
     An edgeless G[Q] has Q as its only MIS and hashes nothing. Any other
-    query gives its t-th least member word t of keyed_ranks(seed, index, |Q|)
-    as its rank and answers the greedy MIS over the members in ascending
-    (rank, vertex) order. Greedy over i.i.d. random priorities is greedy over
-    a uniform random order (Blelloch, Fineman & Shun, SPAA 2012).
+    query takes |Q| words of keyed_ranks keyed by (seed, index), gives its
+    t-th least member word t as its rank, and answers the greedy MIS over
+    the members in ascending (rank, vertex) order. Greedy over i.i.d. random
+    priorities is greedy over a uniform random order (Blelloch, Fineman &
+    Shun, SPAA 2012).
+
+    answers runs that greedy in rounds over the edges of G[Q]. An edge with
+    ends u < v points from u to v when rank u <= rank v, else from v to u:
+    from its end that comes first in (rank, vertex) order. In a round, each
+    undecided vertex that is not the later end of an edge between undecided
+    vertices joins, and the later end of each of its edges drops out. The
+    sequential greedy does the same: every neighbour before such a vertex
+    is decided and out, as a joined one would have dropped it, so greedy
+    takes it; a vertex with an undecided neighbour before it waits for that
+    one. A round decides the first undecided vertex of every query, so the
+    rounds end, and the vertices still undecided once no edge is left have
+    no undecided or joined neighbour, so they join.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        _check_query(g.n, q)
-        adj = g.adjacency_masks
-        # iter_bits inlined twice: most queries of an exhaustive sweep end in
-        # the first loop, and every random-MIS answer passes through here
-        rest = q
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & q:
-                break
-            rest ^= low
-        else:
-            return q
-        members = []
-        rest = q
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        ranks = keyed_ranks(self.seed, index, len(members))
-        # a stable sort of the positions by rank breaks ties by vertex
-        order = sorted(range(len(members)), key=ranks.__getitem__)
-        return _greedy_insert(adj, map(members.__getitem__, order))
+        return self.answers(g, (q,), index)[0]
+
+    def answers(self, g: Graph, masks: Sequence[int], start: int = 0) -> list[int]:
+        """The answer to each masks[i] at index start + i, _ANSWER_CELLS
+        query x vertex cells at a time."""
+        n = g.n
+        for q in masks:
+            if q < 0 or q >> n:
+                _check_query(n, q)
+        # each edge once, as its ends u < v
+        eu, ev = np.nonzero(np.triu(masks_to_bits(g.adjacency_masks, n), 1))
+        if not eu.size:
+            return list(masks)
+        rows = max(1, _ANSWER_CELLS // max(n, 1))
+        out = []
+        for low in range(0, len(masks), rows):
+            out += self._block(masks[low : low + rows], start + low, n, eu, ev)
+        return out
+
+    def _block(self, masks, start, n, eu, ev) -> list[int]:
+        """The answers to a block of queries, the first at index start; the
+        edges are eu[k] < ev[k]."""
+        width = len(masks)
+        # member[v, i]: vertex v is in query i; cell v * width + i of the flat view
+        member = np.ascontiguousarray(masks_to_bits(masks, n).T).view(bool)
+        # the (edge, query) pairs of the edges inside each query
+        inner = member[eu] & member[ev]
+        ei, qi = np.divmod(np.flatnonzero(inner), width)
+        if not qi.size:
+            return list(masks)
+        # below[v, i]: the members of query i up to v, so below[-1] is |Q_i|
+        below = np.cumsum(member, axis=0, dtype=np.int32)
+        hashed = np.flatnonzero(inner.any(axis=0))
+        sizes = below[-1, hashed]
+        ranks = keyed_ranks(self.seed, [start + i for i in hashed.tolist()], sizes.tolist())
+        # query i's stream starts at first[i], and member v's word follows the
+        # members before it
+        first = np.zeros(width, np.int64)
+        first[hashed] = np.cumsum(sizes) - sizes
+        u, v = eu[ei], ev[ei]
+        base = first[qi] - 1
+        u_first = ranks[base + below[u, qi]] <= ranks[base + below[v, qi]]
+        early = np.where(u_first, u, v) * width + qi
+        late = np.where(u_first, v, u) * width + qi
+        dropped = np.zeros(member.size, bool)
+        while early.size:
+            is_late = np.zeros(member.size, bool)
+            is_late[late] = True
+            dropped[late[~is_late[early]]] = True
+            live = ~(dropped[early] | dropped[late])
+            early, late = early[live], late[live]
+        member[dropped.reshape(member.shape)] = False
+        return bits_to_masks(member.T)
 
 
 class AdversarialCliquePolicy:
@@ -214,8 +268,8 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     MIS contract raises OracleError at the first index where it does. The
     check runs once per distinct (query, answer) pair. A policy whose class
     sets `index_free = True` answers from (g, q) alone and is asked once per
-    distinct query, at its first index; any other policy is asked about
-    every index.
+    distinct query, at its first index; any other policy answers every
+    index in one answers(g, masks) call.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
@@ -228,13 +282,11 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
                 if not is_mis(g, q, a):
                     raise OracleError(f"policy answer for query {index} is not an MIS")
         return Transcript(g.n, tuple([(q, answers[q]) for q in masks]))
+    answers = policy.answers(g, masks)
     verified = set()
-    pairs = []
-    for index, q in enumerate(masks):
-        key = (q, policy.answer(g, q, index))
+    for index, key in enumerate(zip(masks, answers)):
         if key not in verified:
-            if not is_mis(g, q, key[1]):
+            if not is_mis(g, *key):
                 raise OracleError(f"policy answer for query {index} is not an MIS")
             verified.add(key)
-        pairs.append(key)
-    return Transcript(g.n, tuple(pairs))
+    return Transcript(g.n, tuple(zip(masks, answers)))

@@ -76,16 +76,21 @@ def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
     return QueryScheme(n, tuple(bernoulli_rows(rng, t, n, p)))
 
 
-def randomized_scheme(n: int, delta: int, c: float, p: float, seed: int) -> QueryScheme:
-    """Bernoulli scheme with ceil(c * delta^2 * ln n) queries."""
+def randomized_query_count(n: int, delta: int, c: float) -> int:
+    """ceil(c * delta^2 * ln n), the query count of randomized_scheme;
+    ValueError on an n, delta or c it does not take."""
     if n < 2:
         raise ValueError("need n >= 2")
     if delta < 1:
         raise ValueError("need delta >= 1")
     if not 0 < c < math.inf:
         raise ValueError("query-count constant must be positive and finite")
-    t = math.ceil(c * delta * delta * math.log(n))
-    return random_queries(n, t, p, seed)
+    return math.ceil(c * delta * delta * math.log(n))
+
+
+def randomized_scheme(n: int, delta: int, c: float, p: float, seed: int) -> QueryScheme:
+    """Bernoulli scheme with randomized_query_count(n, delta, c) queries."""
+    return random_queries(n, randomized_query_count(n, delta, c), p, seed)
 
 
 def cff_scheme(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import struct
 from typing import Callable, Iterable, MutableSequence, Sequence, TypeVar
 
 import numpy as np
@@ -44,12 +43,15 @@ def derive_seed(base: int, *path: int) -> int:
     return x
 
 
-def keyed_ranks(seed: int, index: int, count: int) -> tuple[int, ...]:
-    """count pseudo-random 64-bit ranks keyed by (seed, index): the
-    little-endian unsigned 64-bit words of SHAKE-128 (FIPS 202) over two
-    8-byte little-endian fields, seed mod 2^64 and then index mod 2^64."""
-    key = (seed & _MASK64 | (index & _MASK64) << 64).to_bytes(16, "little")
-    return struct.unpack(f"<{count}Q", hashlib.shake_128(key).digest(8 * count))
+def keyed_ranks(seed: int, indices: Iterable[int], counts: Iterable[int]) -> np.ndarray:
+    """For each (index, count) pair in turn, count pseudo-random 64-bit ranks
+    keyed by (seed, index), joined into one uint64 array: the little-endian
+    unsigned 64-bit words of SHAKE-128 (FIPS 202) over two 8-byte
+    little-endian fields, seed mod 2^64 and then index mod 2^64."""
+    low = seed & _MASK64
+    keys = [(low | (index & _MASK64) << 64).to_bytes(16, "little") for index in indices]
+    stream = b"".join([hashlib.shake_128(k).digest(8 * c) for k, c in zip(keys, counts)])
+    return np.frombuffer(stream, "<u8")
 
 
 def run_seeded_trials(trial: Callable[[int], T], trials: int, seed: int) -> list[T]:
@@ -153,7 +155,7 @@ def masks_to_bits(masks: Sequence[int], width: int) -> np.ndarray:
     """len(masks) x width uint8 rows of 0/1, [i, j] being bit j of masks[i] (each
     mask fits in width bits); with bits_to_masks, the one mask-to-row codec."""
     size = (width + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
+    packed = np.frombuffer(b"".join([m.to_bytes(size, "little") for m in masks]), np.uint8)
     return np.unpackbits(
         packed.reshape(len(masks), size), axis=1, count=width, bitorder="little"
     )
@@ -162,7 +164,12 @@ def masks_to_bits(masks: Sequence[int], width: int) -> np.ndarray:
 def bits_to_masks(bits: np.ndarray) -> list[int]:
     """The int mask of each row of a 2-d array of 0/1 or booleans, bit j from column j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    rows, size = packed.shape
+    if not size:
+        return [0] * rows
+    # slices of one bytes object: a row view of the array per mask is slower
+    stream = packed.tobytes()
+    return [int.from_bytes(stream[i : i + size], "little") for i in range(0, rows * size, size)]
 
 
 # bytes of ground elements per block, which bounds the temporaries of

@@ -164,6 +164,29 @@ class TestReconstruct:
         assert err == "capacity exceeded: 1249975000 vertex pairs of n=50000 exceed cap 5000000\n"
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--density", "0.5", "--seed", "1"], "ground size 1039437 exceeds cap 1000000"),
+            (["--scheme-kind", "randomized", "--c", "300", "--seed", "1"],
+             "random draw of 583750 rows of 2000 bits exceeds cap 1073741824 bits"),
+            (["--graph", "missing-graph.txt", "--seed", "1"],
+             "ground size 1039437 exceeds cap 1000000"),
+        ],
+        ids=["cff", "randomized", "cff-graph-file"],
+    )
+    def test_scheme_cap_refused_before_generating(self, args, message, monkeypatch, capsys):
+        # the cff refusal used to come after about 3.8 s of generating the graph
+        def refuse(*args):
+            raise AssertionError("generated a graph")
+
+        monkeypatch.setattr(cli, "gen_bounded_degree", refuse)
+        start = time.perf_counter()
+        code, stdout, err = run_cli(["reconstruct", "--n", "2000", "--delta", "16", *args], capsys)
+        assert (code, stdout) == (3, "")
+        assert err == f"capacity exceeded: {message}\n"
+        assert time.perf_counter() - start < 1.0
+
     def test_transcript_output(self, tmp_path, capsys):
         tr = tmp_path / "tr.jsonl"
         code, _, _ = run_cli(

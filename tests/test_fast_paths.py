@@ -12,6 +12,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -306,7 +307,7 @@ class TestEdgelessShortcut:
         random_answer(case, seed, index)
 
     def test_edgeless_queries_hash_no_ranks(self, monkeypatch):
-        def refuse(seed, index, count):
+        def refuse(seed, indices, counts):
             raise AssertionError("seeded a generator")
 
         monkeypatch.setattr(oracle, "keyed_ranks", refuse)
@@ -318,6 +319,21 @@ class TestEdgelessShortcut:
         # the ranks are hashed at the first query with an edge
         with pytest.raises(AssertionError, match="seeded a generator"):
             RandomMisPolicy(7).answer(g, 0b11, 0)
+
+    def test_only_queries_with_an_edge_are_hashed(self, monkeypatch):
+        asked = []
+
+        def record(seed, indices, counts):
+            asked.append((list(indices), list(counts)))
+            return util.keyed_ranks(seed, *asked[-1])
+
+        monkeypatch.setattr(oracle, "keyed_ranks", record)
+        g = Graph(6, [(i, i + 1) for i in range(5)])  # the path 0-1-..-5
+        masks = [0b10101, 0b11, 0, 0b111000, 0b101010, 0b100001, 0b111111]
+        answers = RandomMisPolicy(7).answers(g, masks, 40)
+        # one hash per block, of queries 1, 3 and 6 with their sizes
+        assert asked == [([41, 43, 46], [2, 3, 6])]
+        assert answers == [ref.random_mis(g, q, 7, 40 + i) for i, q in enumerate(masks)]
 
     def test_universe_mismatch_is_value_error(self):
         with pytest.raises(ValueError, match="outside vertices 0..2"):
@@ -394,6 +410,42 @@ class TestRandomMisPolicyShapes:
             assert policy.answer(g, query, at) == reference.answer(g, query, at)
 
 
+# starts up to, at and past 2^64, where the index field wraps
+STARTS = st.one_of(st.integers(0, 1000), st.integers(2**64 - 20, 2**64 + 5))
+
+
+class TestRandomMisBlocks:
+    """answers gives each query the reference's answer at its own index,
+    whatever the block size, so blocks never leak ranks into each other."""
+
+    # one row a block, a few rows, and the library's block size
+    @pytest.mark.parametrize("cells", [1, 20, 64, oracle._ANSWER_CELLS])
+    @checked
+    @given(data=st.data(), seed=ANY_SEED, start=STARTS)
+    def test_equals_reference_at_every_index(self, cells, data, seed, start):
+        g = data.draw(graphs(min_n=0, max_n=14))
+        masks = data.draw(st.lists(subsets(g.n), max_size=12))
+        with patch.object(oracle, "_ANSWER_CELLS", cells):
+            answers = RandomMisPolicy(seed).answers(g, masks, start)
+        assert answers == [ref.random_mis(g, q, seed, start + i) for i, q in enumerate(masks)]
+
+    def test_peak_memory_of_the_criterion_three_scheme(self):
+        # trial 0 of criterion 3 at c=10 (n=200, delta=8, t=3391): in blocks
+        # the traced peak is about 0.6 MB, in one piece about 7 MB
+        trial = derive_seed(30_000, 0)
+        g = gen_bounded_degree(200, 8, 0.5, derive_seed(trial, 0))
+        scheme = schemes.randomized_scheme(200, 8, 10.0, 1 / 9, derive_seed(trial, 1))
+        policy = RandomMisPolicy(derive_seed(trial, 2))
+        tracemalloc.start()
+        try:
+            policy.answers(g, scheme.masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scheme) == 3391
+        assert peak < 2 * 2**20
+
+
 def pooled_scheme(n, max_pool=4, max_t=30):
     """Schemes whose queries come from a pool of at most max_pool masks, so
     most queries repeat an earlier one."""
@@ -448,6 +500,9 @@ class SecondTimeWrongPolicy:
             return 0
         self.seen.add(q)
         return GreedyLexPolicy().answer(g, q, index)
+
+    def answers(self, g, masks, start=0):
+        return [self.answer(g, q, start + i) for i, q in enumerate(masks)]
 
 
 class TestRunSchemeMemo:

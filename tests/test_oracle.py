@@ -257,6 +257,9 @@ class TestRunScheme:
             def answer(self, g, q, index):
                 return q
 
+            def answers(self, g, masks, start=0):
+                return [self.answer(g, q, start + i) for i, q in enumerate(masks)]
+
         WholeQuery.index_free = index_free
         with pytest.raises(OracleError, match="query 2 is not an MIS"):
             run_scheme(g, scheme, WholeQuery())
