@@ -18,6 +18,7 @@ import numpy as np
 from .graphs import AdversarialFamilyDesc, Graph
 from .util import (
     bits_to_masks, iter_bits, keyed_ranks, mask_from_members, masks_to_bits, member_tuple,
+    transpose_masks,
 )
 
 
@@ -261,15 +262,53 @@ class Transcript:
         return cls(n, tuple(pairs))
 
 
+# pair x vertex cells _non_mis_pairs takes at a time, which bound its
+# temporaries: a 3391-query scheme at n=200 is one chunk, whose traced peak
+# is about 1.6 MB
+_CHECK_CELLS = 2**20
+
+
+def _non_mis_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> int:
+    """The mask of the indices k whose pairs[k] = (q, a) is_mis refuses: a
+    vertex of q or a lies outside 0..n-1, a leaves q, a is not independent,
+    or a vertex of q \\ a has no neighbour in a.
+
+    The pairs are checked _CHECK_CELLS pair x vertex cells at a time, by
+    vertex columns: bit k of qcol[v] and acol[v] says whether v is in the
+    k-th query and answer, and the OR of the answer columns of v's
+    neighbours says which answers cover v.
+    """
+    n = g.n
+    adj = g.adjacency_masks
+    rows = max(1, _CHECK_CELLS // max(n, 1))
+    bad = 0
+    for low in range(0, len(pairs), rows):
+        chunk = pairs[low : low + rows]
+        # the columns hold only vertices 0..n-1
+        flags = sum([1 << k for k, (q, a) in enumerate(chunk) if (q | a) >> n])
+        queries, answers = zip(*chunk)
+        qcol = transpose_masks(queries, n)
+        acol = transpose_masks(answers, n)
+        for v in range(n):
+            covered = 0
+            for u in iter_bits(adj[v]):
+                covered |= acol[u]
+            flags |= acol[v] & (covered | ~qcol[v]) | qcol[v] & ~acol[v] & ~covered
+        bad |= flags << low
+    return bad
+
+
 def run_scheme(g: Graph, scheme, policy) -> Transcript:
     """Answer every query of the scheme in order under the given policy.
 
-    Every recorded answer is checked with is_mis; a policy that breaks the
-    MIS contract raises OracleError at the first index where it does. The
-    check runs once per distinct (query, answer) pair. A policy whose class
-    sets `index_free = True` answers from (g, q) alone and is asked once per
-    distinct query, at its first index; any other policy answers every
-    index in one answers(g, masks) call.
+    Every recorded answer is checked once per distinct (query, answer) pair;
+    a policy that breaks the MIS contract raises OracleError at the first
+    index where it does, and an answer outside its query the ValueError of
+    is_mis. A policy whose class sets `index_free = True` answers from
+    (g, q) alone and is asked once per distinct query, at its first index,
+    and each answer is checked with is_mis. Any other policy answers every
+    index in one answers(g, masks) call, and the run is checked in one pass
+    of _non_mis_pairs; is_mis then rechecks the first pair it flags.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
@@ -283,10 +322,13 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
                     raise OracleError(f"policy answer for query {index} is not an MIS")
         return Transcript(g.n, tuple([(q, answers[q]) for q in masks]))
     answers = policy.answers(g, masks)
-    verified = set()
-    for index, key in enumerate(zip(masks, answers)):
-        if key not in verified:
-            if not is_mis(g, *key):
-                raise OracleError(f"policy answer for query {index} is not an MIS")
-            verified.add(key)
-    return Transcript(g.n, tuple(zip(masks, answers)))
+    if len(answers) != len(masks):
+        raise OracleError(f"policy gave {len(answers)} answers to {len(masks)} queries")
+    pairs = tuple(zip(masks, answers))
+    distinct = list(dict.fromkeys(pairs))
+    bad = _non_mis_pairs(g, distinct)
+    if bad:
+        pair = distinct[(bad & -bad).bit_length() - 1]
+        if not is_mis(g, *pair):
+            raise OracleError(f"policy answer for query {pairs.index(pair)} is not an MIS")
+    return Transcript(g.n, pairs)

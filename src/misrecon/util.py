@@ -163,7 +163,8 @@ def masks_to_bits(masks: Sequence[int], width: int) -> np.ndarray:
 
 def bits_to_masks(bits: np.ndarray) -> list[int]:
     """The int mask of each row of a 2-d array of 0/1 or booleans, bit j from column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    # packbits reads a transposed or sliced view several times slower than a copy
+    packed = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
     rows, size = packed.shape
     if not size:
         return [0] * rows

@@ -1,5 +1,6 @@
 """Shared test helpers: the environment of a `python -m misrecon` subprocess,
-and a fixture that patches a capacity constant."""
+a policy that answers from a script, and a fixture that patches a capacity
+constant."""
 
 import os
 from pathlib import Path
@@ -26,6 +27,17 @@ def cli_env():
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return env
+
+
+class Scripted:
+    """Duck-typed, without index_free: answers index i with script[i], in
+    one answers() call."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def answers(self, g, masks, start=0):
+        return self.script[start:]
 
 
 @pytest.fixture

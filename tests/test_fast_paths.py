@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from conftest import cli_env
+from conftest import Scripted, cli_env
 from misrecon import graphs as lib_graphs
 from misrecon import coverfree, lowerbounds, oracle, reconstruct, schemes, util
 from misrecon.coverfree import (
@@ -540,14 +540,23 @@ class TestRunSchemeMemo:
         AdversarialCliquePolicy(lib_graphs.clique_family_desc(4, 2)),
     ])
     def test_each_distinct_pair_is_checked_once(self, policy, monkeypatch):
-        # no policy runs a check of its own: run_scheme makes every one
+        # no policy runs a check of its own: run_scheme makes every one, with
+        # is_mis per distinct query of an index-free policy, and otherwise in
+        # one column check of the distinct pairs in order of first index
         checked_pairs = []
+        column_checks = []
 
         def counting_is_mis(g, q, a):
             checked_pairs.append((q, a))
             return is_mis(g, q, a)
 
+        def recording_column_check(g, pairs):
+            column_checks.append(list(pairs))
+            return non_mis_pairs(g, pairs)
+
+        non_mis_pairs = oracle._non_mis_pairs
         monkeypatch.setattr(oracle, "is_mis", counting_is_mis)
+        monkeypatch.setattr(oracle, "_non_mis_pairs", recording_column_check)
         if isinstance(policy, AdversarialCliquePolicy):
             g = Graph(4, [(0, 1), (0, 2)])  # a member: U = {0} joined to 1 and 2
         else:
@@ -555,8 +564,11 @@ class TestRunSchemeMemo:
         masks = [0b1111, 0b0101, 0b0111, 0b1111, 0b0101, 0b0011, 0b0111, 0b1111]
         scheme = QueryScheme(4, tuple(masks))
         transcript = run_scheme(g, scheme, policy)
-        pairs = list(transcript.masks)
-        assert checked_pairs == list(dict.fromkeys(pairs))
+        distinct = list(dict.fromkeys(transcript.masks))
+        if isinstance(policy, RandomMisPolicy):
+            assert (column_checks, checked_pairs) == ([distinct], [])
+        else:
+            assert (column_checks, checked_pairs) == ([], distinct)
 
     @pytest.mark.parametrize("masks, bad_index", [
         ([0b011, 0b110, 0b011], 2),
@@ -577,6 +589,89 @@ class TestRunSchemeMemo:
         assert GreedyOrderPolicy.index_free
         assert AdversarialCliquePolicy.index_free
         assert not hasattr(RandomMisPolicy, "index_free")
+
+
+def flagged_by_reference(g, pairs):
+    """The mask of the indices k where pairs[k] = (q, a) is no MIS pair: a
+    vertex outside the query or 0..n-1, or the per-vertex definition fails."""
+    return sum(1 << k for k, (q, a) in enumerate(pairs)
+               if a & ~q or q >> g.n or not ref.is_mis(g, q, a))
+
+
+@st.composite
+def checked_pairs(draw, max_n=14, max_pairs=12):
+    """(g, pairs): queries inside and outside the vertices, answers that
+    are MIS, that are not, that leave the query and that leave 0..n-1."""
+    g = draw(graphs(min_n=0, max_n=max_n))
+    n = g.n
+    pairs = []
+    for _ in range(draw(st.integers(0, max_pairs))):
+        q = draw(st.one_of(subsets(n), st.sampled_from([1 << n, -1])))
+        inside = q & (1 << n) - 1
+        a = draw(st.one_of(
+            st.permutations(range(n)).map(lambda order: ref.greedy_mis(g, inside, order)),
+            subsets(n, within=q),
+            subsets(n),
+            st.sampled_from([q | 1 << n, -1]),
+        ))
+        pairs.append((q, a))
+    return g, pairs
+
+
+class TestColumnCheck:
+    """_non_mis_pairs flags each pair is_mis refuses, and no other, whatever
+    the chunk size."""
+
+    # one pair a chunk, a few pairs, and the library's chunk size
+    @pytest.mark.parametrize("cells", [1, 20, oracle._CHECK_CELLS])
+    @checked
+    @given(case=checked_pairs())
+    @example(case=(Graph(0, []), []))
+    @example(case=(Graph(0, []), [(0, 0), (0, 1), (1, 0), (0, -1)]))
+    @example(case=(Graph(1, []), [(1, 1), (1, 0), (0, 0), (1, 0b10)]))
+    @example(case=(Graph(9, [(0, 8), (7, 8)]), [(0x1FF, 0x7F), (0x181, 0x101), (0x181, 0x80)]))
+    @example(case=(Graph(11, [(3, 10)]), []))
+    def test_equals_reference_pair_by_pair(self, cells, case):
+        g, pairs = case
+        with patch.object(oracle, "_CHECK_CELLS", cells):
+            assert oracle._non_mis_pairs(g, pairs) == flagged_by_reference(g, pairs)
+
+
+def per_index_run(g, scheme, answers):
+    """run_scheme's outcome when each recorded pair is checked with is_mis in
+    index order: the transcript, or the type and message of the error."""
+    for index, (q, a) in enumerate(zip(scheme.masks, answers)):
+        try:
+            if not is_mis(g, q, a):
+                return OracleError, f"policy answer for query {index} is not an MIS"
+        except ValueError as exc:
+            return ValueError, str(exc)
+    return Transcript(g.n, tuple(zip(scheme.masks, answers)))
+
+
+class TestColumnCheckedRuns:
+    """An answers policy's run fails as the per-index is_mis loop does: with
+    the same error at the same first index, or not at all."""
+
+    @pytest.mark.parametrize("cells", [1, oracle._CHECK_CELLS])
+    @checked
+    @given(data=st.data())
+    def test_equals_per_index_is_mis(self, cells, data):
+        g = data.draw(graphs(min_n=0, max_n=10))
+        scheme = data.draw(pooled_scheme(g.n))
+        # mostly MIS answers, so a run often gets past its first few pairs
+        script = [data.draw(st.one_of(
+            st.permutations(range(g.n)).map(lambda order: ref.greedy_mis(g, q, order)),
+            st.permutations(range(g.n)).map(lambda order: ref.greedy_mis(g, q, order)),
+            subsets(g.n, within=q),
+            subsets(g.n),
+        )) for q in scheme.masks]
+        with patch.object(oracle, "_CHECK_CELLS", cells):
+            try:
+                outcome = run_scheme(g, scheme, Scripted(script))
+            except (OracleError, ValueError) as exc:
+                outcome = type(exc), str(exc)
+        assert outcome == per_index_run(g, scheme, script)
 
 
 @st.composite

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import Scripted
 import misrecon
 from misrecon.graphs import Graph, gen_bounded_degree, sample_clique_family, sample_blocked_clique_family
 from misrecon.oracle import (
@@ -54,8 +55,10 @@ def test_every_exported_name_resolves():
 
 def test_only_run_scheme_and_consistency_check_call_is_mis():
     # policies pick an answer and run_scheme checks it once: a check inside a
-    # policy would run a second time per answer
-    callers = set()
+    # policy would run a second time per answer. The column check of a whole
+    # run is run_scheme's alone too.
+    checks = ("is_mis", "_non_mis_pairs")
+    callers = {name: set() for name in checks}
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, path):
@@ -68,13 +71,17 @@ def test_only_run_scheme_and_consistency_check_call_is_mis():
 
         def visit_Call(self, node):
             func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "is_mis":
-                callers.add((self.path.name, self.scope[-1]))
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name in checks:
+                callers[name].add((self.path.name, self.scope[-1]))
             self.generic_visit(node)
 
     for path in sorted(Path(misrecon.__file__).parent.glob("*.py")):
         Visitor(path).visit(ast.parse(path.read_text()))
-    assert callers == {("oracle.py", "run_scheme"), ("reconstruct.py", "consistency_check")}
+    assert callers == {
+        "is_mis": {("oracle.py", "run_scheme"), ("reconstruct.py", "consistency_check")},
+        "_non_mis_pairs": {("oracle.py", "run_scheme")},
+    }
 
 
 class TestIsMis:
@@ -263,6 +270,29 @@ class TestRunScheme:
         WholeQuery.index_free = index_free
         with pytest.raises(OracleError, match="query 2 is not an MIS"):
             run_scheme(g, scheme, WholeQuery())
+
+    @pytest.mark.parametrize("answers, error, message", [
+        # index 1 leaves its query (or the vertices 0..3), index 2 is not maximal
+        ([0b0100, 0b1000, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
+        ([0b0100, 1 << 4, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
+        ([0b0100, -1, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
+        # index 2 is not maximal, index 3 leaves its query
+        ([0b0100, 0b0001, 0b0000, 0b1001], OracleError, "query 2 is not an MIS"),
+    ])
+    def test_answers_policy_fails_at_its_first_bad_pair(self, answers, error, message):
+        # the ValueError of is_mis for an answer outside its query, as when
+        # each pair was checked with is_mis in index order
+        scheme = QueryScheme(4, (0b0100, 0b0011, 0b0011, 0b0001))
+        with pytest.raises(error, match=message):
+            run_scheme(path_graph(4), scheme, Scripted(answers))
+
+    # the last answer dropped, and one answer too many
+    @pytest.mark.parametrize("answers", [[0b0100, 0b0001], [0b0100, 0b0001, 0b0001, 0b0001]])
+    def test_answer_count_must_match_the_scheme(self, answers):
+        scheme = QueryScheme(4, (0b0100, 0b0011, 0b0001))
+        message = f"policy gave {len(answers)} answers to 3 queries"
+        with pytest.raises(OracleError, match=message):
+            run_scheme(path_graph(4), scheme, Scripted(answers))
 
     def test_policy_descriptor_mismatch_rejected(self):
         _, desc = sample_clique_family(9, 2, seed=0)

@@ -88,6 +88,18 @@ class TestMaskCodec:
         assert bits.tolist() == [[m >> j & 1 for j in range(width)] for m in masks]
         assert bits_to_masks(bits) == masks
 
+    @settings(deadline=None, max_examples=100)
+    @given(case=masks_of_width(), step=st.integers(1, 3))
+    @example(case=([0b1011, 0b0110, 0b1111, 0], 4), step=1)  # a transposed view
+    @example(case=([(1 << 70) - 1, 1 << 69, 0b101], 70), step=2)  # a column slice
+    def test_views_read_as_their_values(self, case, step):
+        # bits_to_masks packs a contiguous copy of a view: it reads as its values
+        masks, width = case
+        bits = masks_to_bits(masks, width)
+        for view in (bits.T, bits[:, ::step], bits.T[::step, ::step]):
+            want = [sum(b << j for j, b in enumerate(row)) for row in view.tolist()]
+            assert bits_to_masks(view) == want
+
 
 def test_only_util_converts_between_masks_and_bit_rows():
     # one codec: every other module goes through masks_to_bits and bits_to_masks
