@@ -42,7 +42,6 @@ from .schemes import (
     check_pair_cap,
     duality_check,
     random_queries,
-    randomized_query_count,
     randomized_scheme,
 )
 from .util import CapExceededError, check_draw_cap, derive_seed
@@ -93,39 +92,27 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _build_scheme(args, n: int, delta: int) -> QueryScheme:
+def _build_scheme(args) -> QueryScheme:
     if args.scheme is not None:
         return QueryScheme.from_text(Path(args.scheme).read_text())
     scheme_seed = derive_seed(args.seed, 1)
     if args.scheme_kind == "randomized":
-        p = args.p if args.p is not None else 1.0 / (delta + 1)
-        return randomized_scheme(n, delta, args.c, p, scheme_seed)
-    return cff_scheme(n, delta, seed=scheme_seed)
-
-
-def _check_scheme_cap(args) -> None:
-    """Refuse a scheme that --scheme-kind would build over its cap: the
-    randomized scheme's draw, or the ground of the default cover-free family."""
-    if args.scheme is not None:
-        return
-    if args.scheme_kind == "randomized":
-        check_draw_cap(randomized_query_count(args.n, args.delta, args.c), args.n)
-    elif args.n >= 2 and args.delta >= 1:  # else cff_scheme refuses them by name
-        coverfree.check_ground_cap(coverfree.cff_ground_size(args.n, 2, 2 * args.delta, 2.0))
+        p = args.p if args.p is not None else 1.0 / (args.delta + 1)
+        return randomized_scheme(args.n, args.delta, args.c, p, scheme_seed)
+    return cff_scheme(args.n, args.delta, seed=scheme_seed)
 
 
 def cmd_reconstruct(args) -> int:
-    # refuse on the pair cap of decode and on the scheme's cap before
-    # generating, reading or answering
+    # refuse on the pair cap of decode, then build the scheme, whose builder
+    # refuses on its own cap before any draw, before reading or generating
     check_vertex_pair_cap(args.n)
-    _check_scheme_cap(args)
+    scheme = _build_scheme(args)
     if args.graph is not None:
         truth = graph_from_text(Path(args.graph).read_text(), n=args.n)
         if truth.delta > args.delta:
             raise ValueError(f"graph has maximum degree {truth.delta} > --delta {args.delta}")
     else:
         truth = _generate_graph(args)
-    scheme = _build_scheme(args, truth.n, args.delta)
     policy = make_policy(args.policy, seed=derive_seed(args.seed, 2))
     transcript = run_scheme(truth, scheme, policy)
     if args.transcript_out:
@@ -312,9 +299,14 @@ _EXPERIMENTS = {
 }
 
 
-# row -> {flag: the flags that the row's handler does not read once flag is given}
+# a hidden-clique family is drawn from --n, --delta and --seed alone
+_FAMILY_UNREAD = {f"family {family}": ("density",) for family in _FAMILY_SAMPLERS}
+# row -> {"flag" or "flag value": the flags that the row's handler does not
+# read once flag is given, or once it has that value}
 _UNREAD_WITH = {
-    "reconstruct": {"graph": ("family", "density"), "scheme": ("scheme-kind", "c", "p")},
+    "generate": _FAMILY_UNREAD,
+    "reconstruct": {"graph": ("family", "density"), "scheme": ("scheme-kind", "c", "p"),
+                    **_FAMILY_UNREAD, "scheme-kind cff": ("c", "p")},
     "lemma7": {"family": ("sets", "ground", "density")},
     "lemma8": {"family": ("sets", "ground", "density")},
     "duality": {"scheme": ("n", "queries", "p", "seed")},
@@ -324,7 +316,9 @@ _UNREAD_WITH = {
 def _refuse_unread(name: str, defaults: dict, args) -> None:
     """ValueError naming a flag set off its row default that the chosen branch ignores."""
     for given, unread in _UNREAD_WITH.get(name, {}).items():
-        if getattr(args, given) is None:
+        dest, _, choice = given.partition(" ")
+        value = getattr(args, dest.replace("-", "_"))
+        if value is None or choice and value != choice:
             continue
         for flag in unread:
             if getattr(args, flag.replace("-", "_")) != defaults[flag]:

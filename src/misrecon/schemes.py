@@ -98,15 +98,15 @@ def cff_scheme(
     delta: int,
     builder: Callable[[int, int, int, int], SetFamily] | None = None,
     seed: int = 0,
-    verify: bool | None = None,
+    verify: bool = False,
 ) -> QueryScheme:
     """Deterministic scheme from a (2, 2*delta)-cover-free family with n sets.
 
     The builder produces the family R (default: the randomized construction);
     identifying its n sets with the vertices, the queries are the dual:
-    query_x = {v : x in R_v}, one query per ground element. With verify=None
-    the family is verified whenever the exhaustive check fits coverfree.CHECK_CAP;
-    verify=True forces verification and verify=False skips it.
+    query_x = {v : x in R_v}, one query per ground element. The family is
+    verified whenever the exhaustive check fits coverfree.CHECK_CAP, and with
+    verify=True in any case, so a check over the cap raises CapExceededError.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -116,12 +116,8 @@ def cff_scheme(
         builder = lambda n_, w_, r_, seed_: random_cff(n_, w_, r_, c=2.0, seed=seed_)
     family = builder(n, 2, 2 * delta, seed)
     if family.n != n:
-        raise SchemeConstructionError(
-            f"builder produced {family.n} sets, expected {n}"
-        )
-    if verify is None:
-        verify = coverfree.check_size(n, 2, 2 * delta) <= coverfree.CHECK_CAP
-    if verify:
+        raise SchemeConstructionError(f"builder produced {family.n} sets, expected {n}")
+    if verify or coverfree.check_size(n, 2, 2 * delta) <= coverfree.CHECK_CAP:
         witness = is_cover_free(family, 2, 2 * delta)
         if not witness:
             raise SchemeConstructionError(

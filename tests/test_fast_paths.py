@@ -41,7 +41,7 @@ from misrecon.oracle import (
     is_mis,
     run_scheme,
 )
-from misrecon.schemes import QueryScheme
+from misrecon.schemes import QueryScheme, SchemeConstructionError
 from misrecon.util import (
     CapExceededError,
     bernoulli_rows,
@@ -215,11 +215,12 @@ class TestIsMis:
         g = data.draw(graphs())
         q = data.draw(subsets(g.n))
         if data.draw(st.booleans()):
-            # an arbitrary subset of q: often dependent or not maximal
-            i = data.draw(subsets(g.n, within=q))
+            # an arbitrary subset of q, or of the vertices: often dependent,
+            # not maximal or outside q
+            i = data.draw(st.one_of(subsets(g.n, within=q), subsets(g.n)))
         else:
             i = ref.greedy_mis(g, q, data.draw(st.permutations(range(g.n))))
-        assert is_mis(g, q, i) == ref.is_mis(g, q, i)
+        assert is_mis(g, q, i) == (not i & ~q and ref.is_mis(g, q, i))
 
 
 class TestGreedyAnswers:
@@ -619,8 +620,8 @@ def checked_pairs(draw, max_n=14, max_pairs=12):
 
 
 class TestColumnCheck:
-    """_non_mis_pairs flags each pair is_mis refuses, and no other, whatever
-    the chunk size."""
+    """_non_mis_pairs flags each pair that is no MIS pair, and no other,
+    whatever the chunk size."""
 
     # one pair a chunk, a few pairs, and the library's chunk size
     @pytest.mark.parametrize("cells", [1, 20, oracle._CHECK_CELLS])
@@ -638,20 +639,18 @@ class TestColumnCheck:
 
 
 def per_index_run(g, scheme, answers):
-    """run_scheme's outcome when each recorded pair is checked with is_mis in
-    index order: the transcript, or the type and message of the error."""
+    """run_scheme's outcome when each recorded pair is checked by the
+    per-vertex definition in index order: the transcript, or the type and
+    message of the error."""
     for index, (q, a) in enumerate(zip(scheme.masks, answers)):
-        try:
-            if not is_mis(g, q, a):
-                return OracleError, f"policy answer for query {index} is not an MIS"
-        except ValueError as exc:
-            return ValueError, str(exc)
+        if a & ~q or not ref.is_mis(g, q, a):
+            return OracleError, f"policy answer for query {index} is not an MIS"
     return Transcript(g.n, tuple(zip(scheme.masks, answers)))
 
 
 class TestColumnCheckedRuns:
-    """An answers policy's run fails as the per-index is_mis loop does: with
-    the same error at the same first index, or not at all."""
+    """An answers policy's run fails as the per-index reference loop does:
+    at the same first index, or not at all."""
 
     @pytest.mark.parametrize("cells", [1, oracle._CHECK_CELLS])
     @checked
@@ -669,7 +668,7 @@ class TestColumnCheckedRuns:
         with patch.object(oracle, "_CHECK_CELLS", cells):
             try:
                 outcome = run_scheme(g, scheme, Scripted(script))
-            except (OracleError, ValueError) as exc:
+            except OracleError as exc:
                 outcome = type(exc), str(exc)
         assert outcome == per_index_run(g, scheme, script)
 
@@ -863,9 +862,15 @@ class TestMembershipTranspose:
     @checked
     @given(case=families(max_n=10, max_ground=8).filter(lambda case: case[0].n >= 2))
     def test_cff_queries_equal_membership_scan(self, case):
+        # the family is verified at this size: a (2, 2)-cover-free one gives
+        # its dual's queries, any other is refused
         f, _ = case
-        scheme = schemes.cff_scheme(f.n, 1, builder=lambda *_: f, verify=False)
-        assert scheme.masks == ref.cff_queries(f.n, f)
+        build = lambda: schemes.cff_scheme(f.n, 1, builder=lambda *_: f)
+        if ref.is_cover_free(f, 2, min(2, f.n - 2)):
+            assert build().masks == ref.cff_queries(f.n, f)
+        else:
+            with pytest.raises(SchemeConstructionError):
+                build()
 
 
 def outcome(fn, *args):

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import Scripted
 import misrecon
+from misrecon import oracle
 from misrecon.graphs import Graph, gen_bounded_degree, sample_clique_family, sample_blocked_clique_family
 from misrecon.oracle import (
     AdversarialCliquePolicy,
@@ -53,12 +54,9 @@ def test_every_exported_name_resolves():
         assert getattr(misrecon, name) is not None, name
 
 
-def test_only_run_scheme_and_consistency_check_call_is_mis():
-    # policies pick an answer and run_scheme checks it once: a check inside a
-    # policy would run a second time per answer. The column check of a whole
-    # run is run_scheme's alone too.
-    checks = ("is_mis", "_non_mis_pairs")
-    callers = {name: set() for name in checks}
+def src_callers(*names):
+    """name -> the (file, innermost function) pairs of src/misrecon that call it."""
+    callers = {name: set() for name in names}
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, path):
@@ -72,15 +70,31 @@ def test_only_run_scheme_and_consistency_check_call_is_mis():
         def visit_Call(self, node):
             func = node.func
             name = getattr(func, "id", getattr(func, "attr", None))
-            if name in checks:
+            if name in callers:
                 callers[name].add((self.path.name, self.scope[-1]))
             self.generic_visit(node)
 
     for path in sorted(Path(misrecon.__file__).parent.glob("*.py")):
         Visitor(path).visit(ast.parse(path.read_text()))
-    assert callers == {
+    return callers
+
+
+def test_only_run_scheme_and_consistency_check_call_is_mis():
+    # policies pick an answer and run_scheme checks it once: a check inside a
+    # policy would run a second time per answer. The column check of a whole
+    # run is run_scheme's alone too.
+    assert src_callers("is_mis", "_non_mis_pairs") == {
         "is_mis": {("oracle.py", "run_scheme"), ("reconstruct.py", "consistency_check")},
         "_non_mis_pairs": {("oracle.py", "run_scheme")},
+    }
+
+
+def test_only_the_scheme_builders_size_their_schemes():
+    # each builder refuses its scheme on its own cap before any draw, so a
+    # caller that sized the scheme itself would restate that cap
+    assert src_callers("cff_ground_size", "randomized_query_count") == {
+        "cff_ground_size": {("coverfree.py", "random_cff")},
+        "randomized_query_count": {("schemes.py", "randomized_scheme")},
     }
 
 
@@ -98,8 +112,7 @@ class TestIsMis:
         assert not is_mis(path_graph(3), full(3), vs(3, 0, 1))
 
     def test_candidate_must_be_inside_query(self):
-        with pytest.raises(ValueError):
-            is_mis(path_graph(3), vs(3, 0), vs(3, 2))
+        assert not is_mis(path_graph(3), vs(3, 0), vs(3, 2))
 
 
 class TestGreedyMis:
@@ -273,18 +286,30 @@ class TestRunScheme:
 
     @pytest.mark.parametrize("answers, error, message", [
         # index 1 leaves its query (or the vertices 0..3), index 2 is not maximal
-        ([0b0100, 0b1000, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
-        ([0b0100, 1 << 4, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
-        ([0b0100, -1, 0b0000, 0b0001], ValueError, "candidate set must be contained"),
+        ([0b0100, 0b1000, 0b0000, 0b0001], OracleError, "query 1 is not an MIS"),
+        ([0b0100, 1 << 4, 0b0000, 0b0001], OracleError, "query 1 is not an MIS"),
+        ([0b0100, -1, 0b0000, 0b0001], OracleError, "query 1 is not an MIS"),
         # index 2 is not maximal, index 3 leaves its query
         ([0b0100, 0b0001, 0b0000, 0b1001], OracleError, "query 2 is not an MIS"),
     ])
     def test_answers_policy_fails_at_its_first_bad_pair(self, answers, error, message):
-        # the ValueError of is_mis for an answer outside its query, as when
-        # each pair was checked with is_mis in index order
+        # an answer that leaves its query is a fault of the policy like any
+        # other non-MIS answer, as when each pair is checked in index order
         scheme = QueryScheme(4, (0b0100, 0b0011, 0b0011, 0b0001))
         with pytest.raises(error, match=message):
             run_scheme(path_graph(4), scheme, Scripted(answers))
+
+    def test_column_check_decides(self, monkeypatch):
+        # a pair the column check flags fails the run at its first index,
+        # even though the pair is an MIS pair: nothing judges it again
+        g = path_graph(4)
+        scheme = QueryScheme(4, (0b0100, 0b0011, 0b0011, 0b0001))
+        answers = [0b0100, 0b0001, 0b0001, 0b0001]
+        assert all(is_mis(g, q, a) for q, a in zip(scheme.masks, answers))
+        # the distinct pairs are those of indices 0, 1 and 3; flag the second
+        monkeypatch.setattr(oracle, "_non_mis_pairs", lambda g, pairs: 0b010)
+        with pytest.raises(OracleError, match="query 1 is not an MIS"):
+            run_scheme(g, scheme, Scripted(answers))
 
     # the last answer dropped, and one answer too many
     @pytest.mark.parametrize("answers", [[0b0100, 0b0001], [0b0100, 0b0001, 0b0001, 0b0001]])

@@ -107,13 +107,6 @@ class TestCffScheme:
         with pytest.raises(CapExceededError):
             cff_scheme(6, 2, seed=0, verify=True)
 
-    def test_skip_verification(self):
-        def builder(n, w, r, seed):
-            return SetFamily.from_sets(n, ([v] for v in range(n)))
-
-        scheme = cff_scheme(4, 1, builder=builder, seed=0, verify=False)
-        assert len(scheme) == 4
-
     def test_fewer_than_two_vertices_rejected_first(self):
         # a builder that honours n = 1 used to reach math.comb(n - 2, ...)
         def builder(n, w, r, seed):
