@@ -35,7 +35,8 @@ def _check_query(n: int, q: int) -> None:
 def is_mis(g: Graph, q: int, i: int) -> bool:
     """True iff the mask i lies in the query q, is independent in g, and
     every vertex of q\\i has a neighbour in i."""
-    _check_query(g.n, q)
+    if q < 0 or q >> g.n:
+        _check_query(g.n, q)
     # adjacency is symmetric, so i is independent iff no member lies in the
     # union of its neighbourhoods, and maximal iff that union covers q \ i
     adj = g.adjacency_masks
@@ -168,7 +169,11 @@ class RandomMisPolicy:
             live = ~(dropped[early] | dropped[late])
             early, late = early[live], late[live]
         member[dropped.reshape(member.shape)] = False
-        return bits_to_masks(member.T)
+        # a query with no edge inside answers with its own mask
+        out = list(masks)
+        for i, a in zip(hashed.tolist(), bits_to_masks(member[:, hashed].T)):
+            out[i] = a
+        return out
 
 
 class AdversarialCliquePolicy:
@@ -221,6 +226,15 @@ class Transcript:
             if a & ~q:
                 raise ValueError("answer not contained in its query")
 
+    @classmethod
+    def _from_checked(cls, n: int, masks: tuple[tuple[int, int], ...]) -> "Transcript":
+        """The transcript of pairs whose queries lie in 0..n-1 and whose
+        answers lie in their queries, unchecked."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "masks", masks)
+        return t
+
     @property
     def entries(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Each pair's query and answer members in ascending order, built from
@@ -257,7 +271,7 @@ class Transcript:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"bad transcript line: {ln!r} ({exc})") from exc
             pairs.append(pair)
-        return cls(n, tuple(pairs))
+        return cls._from_checked(n, tuple(pairs))
 
 
 # pair x vertex cells _non_mis_pairs takes at a time, which bound its
@@ -306,7 +320,8 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     and is asked once per distinct query, at its first index, and each
     answer is checked with is_mis. Any other policy answers every index in
     one answers(g, masks) call, and the run is checked in one pass of
-    _non_mis_pairs.
+    _non_mis_pairs. An MIS pair's query lies in 0..n-1 and holds its
+    answer, so the transcript is built without Transcript's check.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
@@ -318,7 +333,7 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
                 a = answers[q] = policy.answer(g, q, index)
                 if not is_mis(g, q, a):
                     raise OracleError(f"policy answer for query {index} is not an MIS")
-        return Transcript(g.n, tuple([(q, answers[q]) for q in masks]))
+        return Transcript._from_checked(g.n, tuple([(q, answers[q]) for q in masks]))
     answers = policy.answers(g, masks)
     if len(answers) != len(masks):
         raise OracleError(f"policy gave {len(answers)} answers to {len(masks)} queries")
@@ -328,4 +343,4 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     if bad:
         pair = distinct[(bad & -bad).bit_length() - 1]
         raise OracleError(f"policy answer for query {pairs.index(pair)} is not an MIS")
-    return Transcript(g.n, pairs)
+    return Transcript._from_checked(g.n, pairs)

@@ -336,6 +336,21 @@ class TestEdgelessShortcut:
         assert asked == [([41, 43, 46], [2, 3, 6])]
         assert answers == [ref.random_mis(g, q, 7, 40 + i) for i, q in enumerate(masks)]
 
+    def test_only_hashed_queries_are_repacked(self, monkeypatch):
+        repacked = []
+
+        def record(bits):
+            repacked.append(len(bits))
+            return util.bits_to_masks(bits)
+
+        monkeypatch.setattr(oracle, "bits_to_masks", record)
+        g = Graph(6, [(i, i + 1) for i in range(5)])  # the path 0-1-..-5
+        masks = [0b10101, 0b11, 0, 0b111000, 0b101010, 0b100001, 0b111111]
+        answers = RandomMisPolicy(7).answers(g, masks, 40)
+        # the rows of queries 1, 3 and 6; the rest answer with their own mask
+        assert repacked == [3]
+        assert answers == [ref.random_mis(g, q, 7, 40 + i) for i, q in enumerate(masks)]
+
     def test_universe_mismatch_is_value_error(self):
         with pytest.raises(ValueError, match="outside vertices 0..2"):
             RandomMisPolicy(0).answer(Graph.empty(3), 0b11000, 0)
@@ -516,6 +531,15 @@ class TestRunSchemeMemo:
         g, policy, reference = data.draw(graph_and_policy())
         scheme = data.draw(pooled_scheme(g.n))
         assert run_scheme(g, scheme, policy) == ref.run_scheme(g, scheme, reference)
+
+    @checked
+    @given(data=st.data())
+    def test_transcript_passes_the_public_check(self, data):
+        # run_scheme builds its transcript unchecked, from pairs it proved
+        # are MIS pairs; the public constructor accepts every one of them
+        g, policy, _ = data.draw(graph_and_policy())
+        transcript = run_scheme(g, data.draw(pooled_scheme(g.n)), policy)
+        assert Transcript(g.n, transcript.masks) == transcript
 
     @checked
     @given(data=st.data())

@@ -89,6 +89,14 @@ def test_only_run_scheme_and_consistency_check_call_is_mis():
     }
 
 
+def test_only_checked_pairs_skip_the_transcript_check():
+    # run_scheme's pairs passed its MIS check and from_text's lines were
+    # refused one by one, so those two alone build a transcript unchecked
+    assert src_callers("_from_checked") == {
+        "_from_checked": {("oracle.py", "run_scheme"), ("oracle.py", "from_text")},
+    }
+
+
 def test_only_the_scheme_builders_size_their_schemes():
     # each builder refuses its scheme on its own cap before any draw, so a
     # caller that sized the scheme itself would restate that cap
