@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .util import CapExceededError, iter_bits, mask_from_members, member_tuple, shuffle
 
 ENUM_CAP = 10**6
@@ -194,12 +196,17 @@ def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
         raise ValueError("density must be in [0, 1]")
     check_vertex_pair_cap(n)
     rng = random.Random(seed)
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    # each candidate u < v as its code u * n + v, in (u, v) order: shuffle makes
+    # the same draws whatever the elements are, and an int a pair is about
+    # half the memory of a tuple each
+    us, vs = np.triu_indices(n, 1)
+    candidates = (us * n + vs).tolist()
     shuffle(rng, candidates)
     draw = rng.random  # continues from the state the shuffle left
     deg = [0] * n
     edges = []
-    for u, v in candidates:
+    for code in candidates:
+        u, v = divmod(code, n)
         if deg[u] < delta and deg[v] < delta and draw() < density:
             deg[u] += 1
             deg[v] += 1

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .graphs import (
     Graph, check_vertex_pair_cap, pairs_from_lines, pairs_to_text, read_graph_lines,
 )
 from .oracle import Transcript, is_mis, run_scheme
 from .schemes import QueryScheme
-from .util import derive_seed, masks_to_bits, rate_stderr, run_seeded_trials
+from .util import derive_seed, rate_stderr, run_seeded_trials
 
 
 @dataclass(frozen=True)
@@ -49,45 +47,31 @@ class DecodeResult:
 
 def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence; refused
-    over graphs.VERTEX_PAIR_CAP pairs."""
+    over graphs.VERTEX_PAIR_CAP pairs.
+
+    Co-occurrence is read off the transcript's vertex columns, a chunk of
+    pairs at a time: u and v share an answer in a chunk iff acol[u] &
+    acol[v], and a query iff qcol[u] & qcol[v].
+    """
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
     check_vertex_pair_cap(n)
-    # co-occurrence is a union over masks, so each distinct mask is unpacked
-    # once; a scheme repeats queries, so the pairs are deduped first
-    pairs = dict.fromkeys(transcript.masks)
-    queried = _co_occurs(n, list(dict.fromkeys(q for q, _ in pairs)))
-    answered = _co_occurs(n, list(dict.fromkeys(a for _, a in pairs)))
+    # open_pairs[u]: the v > u that share no answer so far; bit v of
+    # queried[u]: one of them shares a query
+    open_pairs = [range(u + 1, n) for u in range(n)]
+    queried = [0] * n
+    for _, qcol, acol in transcript._columns():
+        for u in range(n):
+            au, qu = acol[u], qcol[u]
+            vs = open_pairs[u] = [v for v in open_pairs[u] if not au & acol[v]]
+            for v in vs:
+                if qu & qcol[v]:
+                    queried[u] |= 1 << v
     # a co-answered pair is a certified non-edge; of the other pairs u < v,
     # the co-queried ones are edges and the rest stay unknown
-    open_pairs = np.triu(~answered, 1)
-    return DecodeResult(
-        n, _pairs(open_pairs & queried), _pairs(open_pairs & ~queried)
-    )
-
-
-def _pairs(upper: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The (u, v) with upper[u, v] set, in ascending (u, v) order."""
-    us, vs = np.nonzero(upper)
-    return tuple(zip(us.tolist(), vs.tolist()))
-
-
-# mask rows unpacked per Gram block, which bounds the temporaries of decode
-_GRAM_ROWS = 512
-
-
-def _co_occurs(n: int, masks: list[int]) -> np.ndarray:
-    """n x n booleans: [u, v] is set iff some mask holds both u and v.
-
-    The masks are unpacked into 0/1 rows B and the Gram matrix B.T @ B is
-    summed block by block in float32. Every term is >= 0, so a sum is
-    positive exactly when one of its terms is, however it rounds.
-    """
-    gram = np.zeros((n, n), dtype=np.float32)
-    for start in range(0, len(masks), _GRAM_ROWS):
-        rows = masks_to_bits(masks[start : start + _GRAM_ROWS], n).astype(np.float32)
-        gram += rows.T @ rows
-    return gram > 0
+    edges = [(u, v) for u in range(n) for v in open_pairs[u] if queried[u] >> v & 1]
+    unknown = [(u, v) for u in range(n) for v in open_pairs[u] if not queried[u] >> v & 1]
+    return DecodeResult(n, tuple(edges), tuple(unknown))
 
 
 def consistency_check(g_hat: Graph, transcript: Transcript) -> bool:

@@ -174,22 +174,53 @@ def bits_to_masks(bits: np.ndarray) -> list[int]:
 
 
 # bytes of ground elements per block, which bounds the temporaries of
-# transpose_masks to len(masks) * 8 * _TRANSPOSE_BYTES bytes
+# transpose_masks beyond its packed input to about 3 * len(masks) *
+# _TRANSPOSE_BYTES bytes
 _TRANSPOSE_BYTES = 1024
+
+# (shift, mask) of the three delta swaps that transpose an 8 x 8 bit block
+# whose bit 8r + c is entry (r, c): 2 x 2, then 4 x 4, then 8 x 8 sub-blocks
+_DELTA_SWAPS = tuple(
+    (shift, np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
 def transpose_masks(masks: Sequence[int], width: int) -> list[int]:
-    """For each x < width, the mask of the indices i with bit x set in masks[i].
+    """For each x < width, the mask of the indices i with bit x set in masks[i];
+    the bits of each mask from width up, a negative one's too, are ignored.
 
-    The incidence matrix is transposed a block of ground elements at a time,
-    so each mask is shifted once per block rather than walked bit by bit.
+    The masks are packed to little-endian bytes, with zero rows up to a
+    multiple of 8. Each uint64 word takes one byte column of 8 rows, row k
+    in byte k, so bit 8k + b is (row k, element b) of an 8 x 8 bit block, and
+    three delta swaps transpose it in place (Hacker's Delight, 2nd ed.,
+    section 7-3): byte b then holds element b's bits of the 8 rows. An
+    element's mask is its bytes of every row block, read as one integer.
     """
-    step = 8 * _TRANSPOSE_BYTES
+    low = (1 << width) - 1
+    size = (width + 7) // 8
+    height = max(1, (len(masks) + 7) // 8)  # bytes of each transposed mask
+    packed = np.zeros((8 * height, size), np.uint8)
+    packed[: len(masks)] = np.frombuffer(
+        b"".join([(m & low).to_bytes(size, "little") for m in masks]), np.uint8
+    ).reshape(len(masks), size)
     out = []
-    for start in range(0, width, step):
-        span = min(step, width - start)
-        low = (1 << span) - 1
-        out.extend(bits_to_masks(masks_to_bits([m >> start & low for m in masks], span).T))
+    for start in range(0, size, _TRANSPOSE_BYTES):
+        span = min(_TRANSPOSE_BYTES, size - start)
+        # x[i, j]: rows 8i..8i+7 of byte column start + j
+        x = np.ascontiguousarray(
+            packed[:, start : start + span].reshape(height, 8, span).transpose(0, 2, 1)
+        ).view("<u8")[..., 0]
+        for shift, mask in _DELTA_SWAPS:
+            t = (x ^ x >> shift) & mask
+            x ^= t ^ t << shift
+        # element 8 * (start + j) + b is byte b of x[:, j], one byte a row block
+        stream = x.view(np.uint8).reshape(height, 8 * span).T.tobytes()
+        count = min(8 * span, width - 8 * start)
+        out += [
+            int.from_bytes(stream[i : i + height], "little")
+            for i in range(0, count * height, height)
+        ]
     return out
 
 

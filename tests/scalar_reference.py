@@ -6,7 +6,8 @@ set-family draws,
 the graph generator on the stdlib Random.shuffle, random-MIS answers
 sorted by hash ranks read word by word, the clique adversary that checks
 its own candidate answer, decoding, one policy call and one MIS check per
-query, the 2^|Q| subset scan for maximal independent sets,
+query, the float32 Gram decode and the unpacked-bit transpose it read
+masks through, the 2^|Q| subset scan for maximal independent sets,
 the frozenset cover-free checker, the `x in s` scans of the dual family and the CFF
 scheme's queries, and the separate plain and blocked hidden-clique samplers,
 enumerators and count chain. Property tests require the
@@ -20,6 +21,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from misrecon.coverfree import CffConstructionError, CoverViolation, SetFamily
 from misrecon.graphs import (
     ENUM_CAP,
@@ -31,7 +34,14 @@ from misrecon.lowerbounds import _chain_checks
 from misrecon.oracle import OracleError, Transcript
 from misrecon.reports import ExperimentReport
 from misrecon.schemes import QueryScheme, SchemeViolation
-from misrecon.util import CapExceededError, derive_seed, iter_bits, mask_from_members
+from misrecon.util import (
+    CapExceededError,
+    bits_to_masks,
+    derive_seed,
+    iter_bits,
+    mask_from_members,
+    masks_to_bits,
+)
 
 
 def random_queries(n: int, t: int, p: float, seed: int) -> QueryScheme:
@@ -190,6 +200,36 @@ def decode(n: int, transcript: Transcript):
             else:
                 unknown.append((u, v))
     return tuple(edges), tuple(unknown)
+
+
+def transpose_masks(masks, width: int) -> list[int]:
+    """For each x < width, the mask of the i with bit x of masks[i] set: the
+    masks cut to width bits, unpacked to 0/1 rows and repacked by column."""
+    low = (1 << width) - 1
+    return bits_to_masks(masks_to_bits([m & low for m in masks], width).T)
+
+
+def gram_decode(n: int, transcript: Transcript):
+    """(edges, unknown pairs) from float32 Gram products B.T @ B of the
+    distinct query rows and the distinct answer rows, 512 rows a block."""
+
+    def co_occurs(masks):
+        gram = np.zeros((n, n), dtype=np.float32)
+        for start in range(0, len(masks), 512):
+            rows = masks_to_bits(masks[start : start + 512], n).astype(np.float32)
+            gram += rows.T @ rows
+        return gram > 0
+
+    pairs = dict.fromkeys(transcript.masks)
+    queried = co_occurs(list(dict.fromkeys(q for q, _ in pairs)))
+    answered = co_occurs(list(dict.fromkeys(a for _, a in pairs)))
+    open_pairs = np.triu(~answered, 1)
+
+    def listed(upper):
+        us, vs = np.nonzero(upper)
+        return tuple(zip(us.tolist(), vs.tolist()))
+
+    return listed(open_pairs & queried), listed(open_pairs & ~queried)
 
 
 def mis_family(adj, qmask: int) -> frozenset:

@@ -659,7 +659,15 @@ class TestColumnCheck:
     def test_equals_reference_pair_by_pair(self, cells, case):
         g, pairs = case
         with patch.object(oracle, "_CHECK_CELLS", cells):
-            assert oracle._non_mis_pairs(g, pairs) == flagged_by_reference(g, pairs)
+            bad, chunks = oracle._non_mis_pairs(g, pairs)
+        assert bad == flagged_by_reference(g, pairs)
+        # the chunks it read hold the vertex columns of every pair, in order
+        for side in (0, 1):
+            columns = [0] * g.n
+            for low, *cols in chunks:
+                for v, col in enumerate(cols[side]):
+                    columns[v] |= col << low
+            assert columns == ref.transpose_masks([pair[side] for pair in pairs], g.n)
 
 
 def per_index_run(g, scheme, answers):
@@ -752,6 +760,47 @@ class TestDecode:
     def test_equals_pair_loop_on_wider_universes(self, tr):
         result = reconstruct.decode(tr.n, tr)
         assert (result.edges, result.unknown_pairs) == ref.decode(tr.n, tr)
+
+
+@st.composite
+def decode_runs(draw):
+    """(g, policy) of graph_and_policy, or a graph on 0, 1 or 2 vertices
+    under greedy-lex or random-MIS."""
+    if draw(st.booleans()):
+        g, policy, _ = draw(graph_and_policy())
+        return g, policy
+    g = draw(graphs(min_n=0, max_n=2))
+    return g, draw(st.sampled_from([GreedyLexPolicy(), RandomMisPolicy(draw(SEEDS))]))
+
+
+class TestColumnDecode:
+    """decode reads co-occurrence off the vertex columns that the run's
+    check built, or that it builds a chunk at a time, and equals the float32
+    Gram decode either way."""
+
+    # one pair a chunk, a few pairs, and the library's chunk size
+    @pytest.mark.parametrize("cells", [1, 20, oracle._CHECK_CELLS])
+    @checked
+    @given(data=st.data())
+    def test_equals_gram_reference(self, cells, data):
+        g, policy = data.draw(decode_runs())
+        scheme = data.draw(pooled_scheme(g.n))
+        with patch.object(oracle, "_CHECK_CELLS", cells):
+            run = run_scheme(g, scheme, policy)
+            rebuilt = Transcript(g.n, run.masks)
+            results = [reconstruct.decode(g.n, t) for t in (run, rebuilt)]
+        # a random-MIS run hands its check's columns on, and nothing else does
+        handed_on = isinstance(policy, RandomMisPolicy)
+        assert (run._run_columns is not None, rebuilt._run_columns) == (handed_on, None)
+        expected = ref.gram_decode(g.n, run)
+        assert [(r.edges, r.unknown_pairs) for r in results] == [expected, expected]
+
+    def test_run_columns_are_no_field(self):
+        g = Graph(3, [(0, 1)])
+        run = run_scheme(g, QueryScheme(3, (0b111, 0b011, 0b111)), RandomMisPolicy(5))
+        rebuilt = Transcript(3, run.masks)
+        assert run._run_columns is not None
+        assert run == rebuilt and hash(run) == hash(rebuilt) and repr(run) == repr(rebuilt)
 
 
 @st.composite
@@ -863,6 +912,16 @@ def incidences(draw, max_n=12, max_ground=30):
     return SetFamily(ground, tuple(masks))
 
 
+@st.composite
+def wide_masks(draw, max_width=130, max_rows=40):
+    """(width, masks): any row count, so mostly no multiple of 8, widths on
+    both sides of 8 and 64, and masks inside width bits, negative, or wider."""
+    width = draw(st.integers(0, max_width))
+    wide = st.integers(-(1 << width + 9), (1 << width + 9) - 1)
+    inside = st.integers(0, (1 << width) - 1)
+    return width, draw(st.lists(st.one_of(inside, wide), max_size=max_rows))
+
+
 class TestMembershipTranspose:
     @checked
     @given(case=families(max_n=10, max_ground=8))
@@ -882,6 +941,19 @@ class TestMembershipTranspose:
         with patch.object(util, "_TRANSPOSE_BYTES", 1):
             assert dual(f) == ref.dual(f)
             assert transpose_masks(f.masks, f.ground_size) == list(ref.dual(f).masks)
+
+    # one-byte blocks and the library's block size
+    @pytest.mark.parametrize("block", [1, util._TRANSPOSE_BYTES])
+    @checked
+    @given(case=wide_masks())
+    @example(case=(0, []))
+    @example(case=(0, [5, -1, 0]))
+    @example(case=(8, [-1] * 9))
+    @example(case=(64, [(1 << 70) - 1, -(1 << 63), 1 << 63]))
+    def test_delta_swaps_equal_unpacked_bits(self, block, case):
+        width, masks = case
+        with patch.object(util, "_TRANSPOSE_BYTES", block):
+            assert transpose_masks(masks, width) == ref.transpose_masks(masks, width)
 
     @checked
     @given(case=families(max_n=10, max_ground=8).filter(lambda case: case[0].n >= 2))

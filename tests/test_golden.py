@@ -3,7 +3,8 @@
 The `reconstruct` digests were recorded before the scheme builder, the
 oracle and the decoder were rewritten with batched kernels, the
 `profile-count` digest before run_scheme answered each distinct query once,
-the `generate` digest while the generator still called Random.shuffle, and
+the n=200 `generate` digest while the generator still called Random.shuffle
+and the n=2000 one while it still shuffled (u, v) tuples, and
 the hidden-clique digests while the plain and blocked families were still
 built by two separate samplers and enumerators, and the n=200 default-CFF
 digests while the dual was still built by a walk over each set's members.
@@ -108,6 +109,24 @@ GENERATE = (
 
 def test_generated_graph_matches_golden_digest(tmp_path, capsys):
     args, digest = GENERATE
+    out = tmp_path / "graph.txt"
+    code = main([*args, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out) == digest
+
+
+# 1,999,000 candidate pairs at n=2000, recorded while the generator still
+# shuffled them as (u, v) tuples rather than int codes u * n + v
+GENERATE_N2000 = (
+    ["generate", "--family", "random", "--n", "2000", "--delta", "16",
+     "--density", "0.5", "--seed", "1"],
+    "478cfcc2af48ab2f00ccbda21c05b6d49f89f1302d57facf5b9ab596cf033956",
+)
+
+
+def test_n2000_generated_graph_matches_golden_digest(tmp_path, capsys):
+    args, digest = GENERATE_N2000
     out = tmp_path / "graph.txt"
     code = main([*args, "--out", str(out)])
     capsys.readouterr()

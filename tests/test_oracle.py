@@ -315,7 +315,7 @@ class TestRunScheme:
         answers = [0b0100, 0b0001, 0b0001, 0b0001]
         assert all(is_mis(g, q, a) for q, a in zip(scheme.masks, answers))
         # the distinct pairs are those of indices 0, 1 and 3; flag the second
-        monkeypatch.setattr(oracle, "_non_mis_pairs", lambda g, pairs: 0b010)
+        monkeypatch.setattr(oracle, "_non_mis_pairs", lambda g, pairs: (0b010, []))
         with pytest.raises(OracleError, match="query 1 is not an MIS"):
             run_scheme(g, scheme, Scripted(answers))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misrecon import graphs, reconstruct
+from misrecon import graphs, oracle
 from misrecon.graphs import Graph, gen_bounded_degree
 from misrecon.oracle import (
     GreedyLexPolicy,
@@ -55,9 +55,9 @@ class TestDecode:
         set_cap(graphs, "VERTEX_PAIR_CAP", 14)
 
         def refuse(*args):
-            raise AssertionError("built a co-occurrence matrix")
+            raise AssertionError("built vertex columns")
 
-        monkeypatch.setattr(reconstruct, "_co_occurs", refuse)
+        monkeypatch.setattr(oracle, "_vertex_columns", refuse)
         with pytest.raises(CapExceededError, match=r"^15 vertex pairs of n=6 exceed cap 14$"):
             decode(6, transcript)
 
