@@ -27,7 +27,7 @@ from .util import CapExceededError, iter_bits, mask_from_members, member_tuple, 
 
 ENUM_CAP = 10**6
 # vertex pairs C(n, 2) of the dense per-pair work: the candidate edges of
-# gen_bounded_degree and the n x n matrices of reconstruct.decode
+# gen_bounded_degree and the pairs u < v that reconstruct.decode walks
 VERTEX_PAIR_CAP = 5 * 10**6
 
 

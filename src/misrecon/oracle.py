@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -212,16 +213,18 @@ def make_policy(kind: str, seed: int | None = None):
     raise ValueError(f"unknown policy kind: {kind}")
 
 
+# pair x vertex cells that Transcript._columns transposes at a time, which
+# bound its temporaries: a 3391-query scheme at n=200, and a 1946-query one
+# at n=2000, is one block
+_CHECK_CELLS = 2**23
+
+
 @dataclass(frozen=True)
 class Transcript:
     """Ordered (query, answer) mask pairs produced by one oracle run."""
 
     n: int
     masks: tuple[tuple[int, int], ...]
-
-    # the _vertex_columns chunks of the distinct pairs in first-index order,
-    # when the run's check built them; not a field, so no part of equality
-    _run_columns = None
 
     def __post_init__(self):
         # a scheme repeats queries, so each distinct pair is checked once
@@ -231,23 +234,33 @@ class Transcript:
                 raise ValueError("answer not contained in its query")
 
     @classmethod
-    def _from_checked(
-        cls, n: int, masks: tuple[tuple[int, int], ...], run_columns: list | None = None
-    ) -> "Transcript":
-        """The transcript of pairs whose queries lie in 0..n-1 and whose
-        answers lie in their queries, unchecked, with the run's columns."""
+    def _from_checked(cls, n: int, masks: tuple[tuple[int, int], ...]) -> "Transcript":
+        """The transcript of masks without __post_init__'s check. from_text
+        calls it after refusing each bad line, and run_scheme returns its
+        transcript only once _non_mis_pairs has passed every pair; so in
+        every transcript either returns, each query lies in 0..n-1 and holds
+        its answer."""
         t = cls.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "masks", masks)
-        object.__setattr__(t, "_run_columns", run_columns)
         return t
 
-    def _columns(self) -> Iterable[tuple[int, list[int], list[int]]]:
-        """The _vertex_columns chunks of the distinct pairs in first-index
-        order: the run's own, or else built a chunk at a time and not kept."""
-        if self._run_columns is not None:
-            return self._run_columns
-        return _vertex_columns(self.n, list(dict.fromkeys(self.masks)))
+    @cached_property
+    def _columns(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+        """(pairs, qcol, acol): the distinct pairs in first-index order, and
+        bit k of qcol[v] and acol[v] says whether vertex v < n is in the query
+        and the answer of pairs[k]. Built on first use, _CHECK_CELLS pair x
+        vertex cells at a time; not a field, so no part of equality."""
+        n = self.n
+        pairs = list(dict.fromkeys(self.masks))
+        qcol, acol = [0] * n, [0] * n
+        rows = max(1, _CHECK_CELLS // max(n, 1))
+        for low in range(0, len(pairs), rows):
+            queries, answers = zip(*pairs[low : low + rows])
+            for col, block in ((qcol, queries), (acol, answers)):
+                for v, bits in enumerate(transpose_masks(block, n)):
+                    col[v] |= bits << low
+        return pairs, qcol, acol
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -288,47 +301,25 @@ class Transcript:
         return cls._from_checked(n, tuple(pairs))
 
 
-# pair x vertex cells in one chunk of vertex columns, which bound the
-# columns decode builds to 2 MiB a chunk: a 3391-query scheme at n=200, and
-# a 1946-query one at n=2000, is one chunk
-_CHECK_CELLS = 2**23
-
-
-def _vertex_columns(
-    n: int, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """For each chunk of _CHECK_CELLS pair x vertex cells of pairs, in order,
-    (low, qcol, acol): the chunk starts at pairs[low], and bit k of qcol[v]
-    and acol[v] says whether vertex v < n is in the query and the answer of
-    pairs[low + k]."""
-    rows = max(1, _CHECK_CELLS // max(n, 1))
-    for low in range(0, len(pairs), rows):
-        queries, answers = zip(*pairs[low : low + rows])
-        yield low, transpose_masks(queries, n), transpose_masks(answers, n)
-
-
-def _non_mis_pairs(g: Graph, pairs: Sequence[tuple[int, int]]) -> tuple[int, list]:
-    """The mask of the indices k whose pairs[k] = (q, a) is no MIS pair: a
-    vertex of q or a lies outside 0..n-1, a leaves q, a is not independent,
-    or a vertex of q \\ a has no neighbour in a; and the _vertex_columns
-    chunks of pairs it was read from.
+def _non_mis_pairs(g: Graph, transcript: Transcript) -> int:
+    """The mask of the indices k whose pairs[k] = (q, a), of the distinct
+    pairs in transcript._columns, is no MIS pair: a vertex of q or a lies
+    outside 0..n-1, a leaves q, a is not independent, or a vertex of q \\ a
+    has no neighbour in a.
 
     The OR of the answer columns of v's neighbours says which answers cover v.
     """
     n = g.n
     adj = g.adjacency_masks
+    pairs, qcol, acol = transcript._columns
     # the columns hold only vertices 0..n-1
     bad = sum([1 << k for k, (q, a) in enumerate(pairs) if (q | a) >> n])
-    chunks = list(_vertex_columns(n, pairs))
-    for low, qcol, acol in chunks:
-        flags = 0
-        for v in range(n):
-            covered = 0
-            for u in iter_bits(adj[v]):
-                covered |= acol[u]
-            flags |= acol[v] & (covered | ~qcol[v]) | qcol[v] & ~acol[v] & ~covered
-        bad |= flags << low
-    return bad, chunks
+    for v in range(n):
+        covered = 0
+        for u in iter_bits(adj[v]):
+            covered |= acol[u]
+        bad |= acol[v] & (covered | ~qcol[v]) | qcol[v] & ~acol[v] & ~covered
+    return bad
 
 
 def run_scheme(g: Graph, scheme, policy) -> Transcript:
@@ -340,9 +331,9 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     policy whose class sets `index_free = True` answers from (g, q) alone
     and is asked once per distinct query, at its first index, and each
     answer is checked with is_mis. Any other policy answers every index in
-    one answers(g, masks) call, and the run is checked in one pass of
-    _non_mis_pairs, whose vertex columns the transcript keeps for decode.
-    An MIS pair's query lies in 0..n-1 and holds its answer, so the
+    one answers(g, masks) call, and its transcript is checked in one pass of
+    _non_mis_pairs over the transcript's vertex columns, which decode reads
+    again. An MIS pair's query lies in 0..n-1 and holds its answer, so the
     transcript is built without Transcript's check.
     """
     if scheme.n != g.n:
@@ -359,10 +350,10 @@ def run_scheme(g: Graph, scheme, policy) -> Transcript:
     answers = policy.answers(g, masks)
     if len(answers) != len(masks):
         raise OracleError(f"policy gave {len(answers)} answers to {len(masks)} queries")
-    pairs = tuple(zip(masks, answers))
-    distinct = list(dict.fromkeys(pairs))
-    bad, columns = _non_mis_pairs(g, distinct)
+    transcript = Transcript._from_checked(g.n, tuple(zip(masks, answers)))
+    bad = _non_mis_pairs(g, transcript)
     if bad:
-        pair = distinct[(bad & -bad).bit_length() - 1]
+        pairs = transcript.masks
+        pair = list(dict.fromkeys(pairs))[(bad & -bad).bit_length() - 1]
         raise OracleError(f"policy answer for query {pairs.index(pair)} is not an MIS")
-    return Transcript._from_checked(g.n, pairs, columns)
+    return transcript

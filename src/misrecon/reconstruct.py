@@ -49,28 +49,20 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence; refused
     over graphs.VERTEX_PAIR_CAP pairs.
 
-    Co-occurrence is read off the transcript's vertex columns, a chunk of
-    pairs at a time: u and v share an answer in a chunk iff acol[u] &
-    acol[v], and a query iff qcol[u] & qcol[v].
+    Co-occurrence is read off the transcript's vertex columns: u and v
+    share an answer iff acol[u] & acol[v], and a query iff qcol[u] & qcol[v].
+    A co-answered pair is a certified non-edge; of the other pairs u < v,
+    the co-queried ones are edges and the rest stay unknown.
     """
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
     check_vertex_pair_cap(n)
-    # open_pairs[u]: the v > u that share no answer so far; bit v of
-    # queried[u]: one of them shares a query
-    open_pairs = [range(u + 1, n) for u in range(n)]
-    queried = [0] * n
-    for _, qcol, acol in transcript._columns():
-        for u in range(n):
-            au, qu = acol[u], qcol[u]
-            vs = open_pairs[u] = [v for v in open_pairs[u] if not au & acol[v]]
-            for v in vs:
-                if qu & qcol[v]:
-                    queried[u] |= 1 << v
-    # a co-answered pair is a certified non-edge; of the other pairs u < v,
-    # the co-queried ones are edges and the rest stay unknown
-    edges = [(u, v) for u in range(n) for v in open_pairs[u] if queried[u] >> v & 1]
-    unknown = [(u, v) for u in range(n) for v in open_pairs[u] if not queried[u] >> v & 1]
+    _, qcol, acol = transcript._columns
+    edges, unknown = [], []
+    for u in range(n):
+        au, qu = acol[u], qcol[u]
+        for v in [v for v in range(u + 1, n) if not au & acol[v]]:
+            (edges if qu & qcol[v] else unknown).append((u, v))
     return DecodeResult(n, tuple(edges), tuple(unknown))
 
 

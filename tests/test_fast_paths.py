@@ -575,9 +575,9 @@ class TestRunSchemeMemo:
             checked_pairs.append((q, a))
             return is_mis(g, q, a)
 
-        def recording_column_check(g, pairs):
-            column_checks.append(list(pairs))
-            return non_mis_pairs(g, pairs)
+        def recording_column_check(g, transcript):
+            column_checks.append(list(transcript._columns[0]))
+            return non_mis_pairs(g, transcript)
 
         non_mis_pairs = oracle._non_mis_pairs
         monkeypatch.setattr(oracle, "is_mis", counting_is_mis)
@@ -644,10 +644,10 @@ def checked_pairs(draw, max_n=14, max_pairs=12):
 
 
 class TestColumnCheck:
-    """_non_mis_pairs flags each pair that is no MIS pair, and no other,
-    whatever the chunk size."""
+    """_non_mis_pairs flags each distinct pair of a transcript that is no
+    MIS pair, and no other, whatever the block size of its columns."""
 
-    # one pair a chunk, a few pairs, and the library's chunk size
+    # one pair a block, a few pairs, and the library's block size
     @pytest.mark.parametrize("cells", [1, 20, oracle._CHECK_CELLS])
     @checked
     @given(case=checked_pairs())
@@ -658,16 +658,18 @@ class TestColumnCheck:
     @example(case=(Graph(11, [(3, 10)]), []))
     def test_equals_reference_pair_by_pair(self, cells, case):
         g, pairs = case
+        pairs = list(dict.fromkeys(pairs))
+        # as run_scheme does, the pairs are checked on an unchecked transcript
+        transcript = Transcript._from_checked(g.n, tuple(pairs))
         with patch.object(oracle, "_CHECK_CELLS", cells):
-            bad, chunks = oracle._non_mis_pairs(g, pairs)
+            bad = oracle._non_mis_pairs(g, transcript)
         assert bad == flagged_by_reference(g, pairs)
-        # the chunks it read hold the vertex columns of every pair, in order
-        for side in (0, 1):
-            columns = [0] * g.n
-            for low, *cols in chunks:
-                for v, col in enumerate(cols[side]):
-                    columns[v] |= col << low
-            assert columns == ref.transpose_masks([pair[side] for pair in pairs], g.n)
+        # the columns it read hold every pair, in order, whatever the blocks
+        assert transcript._columns == (
+            pairs,
+            ref.transpose_masks([q for q, _ in pairs], g.n),
+            ref.transpose_masks([a for _, a in pairs], g.n),
+        )
 
 
 def per_index_run(g, scheme, answers):
@@ -774,11 +776,11 @@ def decode_runs(draw):
 
 
 class TestColumnDecode:
-    """decode reads co-occurrence off the vertex columns that the run's
-    check built, or that it builds a chunk at a time, and equals the float32
-    Gram decode either way."""
+    """decode reads co-occurrence off the transcript's vertex columns, built
+    by the run's check or on first use, and equals the float32 Gram decode
+    either way."""
 
-    # one pair a chunk, a few pairs, and the library's chunk size
+    # one pair a block, a few pairs, and the library's block size
     @pytest.mark.parametrize("cells", [1, 20, oracle._CHECK_CELLS])
     @checked
     @given(data=st.data())
@@ -788,18 +790,37 @@ class TestColumnDecode:
         with patch.object(oracle, "_CHECK_CELLS", cells):
             run = run_scheme(g, scheme, policy)
             rebuilt = Transcript(g.n, run.masks)
+            # only a random-MIS run's check has built the columns decode reads
+            built = ["_columns" in vars(t) for t in (run, rebuilt)]
+            assert built == [isinstance(policy, RandomMisPolicy), False]
             results = [reconstruct.decode(g.n, t) for t in (run, rebuilt)]
-        # a random-MIS run hands its check's columns on, and nothing else does
-        handed_on = isinstance(policy, RandomMisPolicy)
-        assert (run._run_columns is not None, rebuilt._run_columns) == (handed_on, None)
         expected = ref.gram_decode(g.n, run)
         assert [(r.edges, r.unknown_pairs) for r in results] == [expected, expected]
+
+    @pytest.mark.parametrize("policy", [RandomMisPolicy(5), GreedyLexPolicy()])
+    def test_columns_are_built_once(self, policy, monkeypatch):
+        # one block of pairs: its queries and its answers are transposed once
+        # each, by a random-MIS run's check or else by the first decode
+        calls = []
+
+        def counting_transpose(masks, width):
+            calls.append(width)
+            return transpose_masks(masks, width)
+
+        monkeypatch.setattr(oracle, "transpose_masks", counting_transpose)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        run = run_scheme(g, QueryScheme(4, (0b1111, 0b0111, 0b1111, 0b1110)), policy)
+        checked = len(calls)
+        results = [reconstruct.decode(4, run) for _ in range(2)]
+        assert (checked, calls) == (2 if isinstance(policy, RandomMisPolicy) else 0, [4, 4])
+        assert results[0] == results[1]
 
     def test_run_columns_are_no_field(self):
         g = Graph(3, [(0, 1)])
         run = run_scheme(g, QueryScheme(3, (0b111, 0b011, 0b111)), RandomMisPolicy(5))
         rebuilt = Transcript(3, run.masks)
-        assert run._run_columns is not None
+        reconstruct.decode(3, run)
+        assert "_columns" in vars(run) and "_columns" not in vars(rebuilt)
         assert run == rebuilt and hash(run) == hash(rebuilt) and repr(run) == repr(rebuilt)
 
 

@@ -55,7 +55,8 @@ def test_every_exported_name_resolves():
 
 
 def src_callers(*names):
-    """name -> the (file, innermost function) pairs of src/misrecon that call it."""
+    """name -> the (file, innermost function) pairs of src/misrecon that call
+    it or read it as an attribute."""
     callers = {name: set() for name in names}
 
     class Visitor(ast.NodeVisitor):
@@ -72,6 +73,11 @@ def src_callers(*names):
             name = getattr(func, "id", getattr(func, "attr", None))
             if name in callers:
                 callers[name].add((self.path.name, self.scope[-1]))
+            self.generic_visit(node)
+
+        def visit_Attribute(self, node):
+            if node.attr in callers:
+                callers[node.attr].add((self.path.name, self.scope[-1]))
             self.generic_visit(node)
 
     for path in sorted(Path(misrecon.__file__).parent.glob("*.py")):
@@ -94,6 +100,14 @@ def test_only_checked_pairs_skip_the_transcript_check():
     # refused one by one, so those two alone build a transcript unchecked
     assert src_callers("_from_checked") == {
         "_from_checked": {("oracle.py", "run_scheme"), ("oracle.py", "from_text")},
+    }
+
+
+def test_only_the_check_and_decode_read_the_vertex_columns():
+    # a transcript builds its columns once, on first use, and no caller
+    # hands them on: an answers run's check fills them and decode reads them
+    assert src_callers("_columns") == {
+        "_columns": {("oracle.py", "_non_mis_pairs"), ("reconstruct.py", "decode")},
     }
 
 
@@ -315,7 +329,7 @@ class TestRunScheme:
         answers = [0b0100, 0b0001, 0b0001, 0b0001]
         assert all(is_mis(g, q, a) for q, a in zip(scheme.masks, answers))
         # the distinct pairs are those of indices 0, 1 and 3; flag the second
-        monkeypatch.setattr(oracle, "_non_mis_pairs", lambda g, pairs: (0b010, []))
+        monkeypatch.setattr(oracle, "_non_mis_pairs", lambda g, transcript: 0b010)
         with pytest.raises(OracleError, match="query 1 is not an MIS"):
             run_scheme(g, scheme, Scripted(answers))
 

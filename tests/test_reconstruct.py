@@ -57,9 +57,10 @@ class TestDecode:
         def refuse(*args):
             raise AssertionError("built vertex columns")
 
-        monkeypatch.setattr(oracle, "_vertex_columns", refuse)
+        # the decode above filled that transcript's columns; a new one has none
+        monkeypatch.setattr(oracle, "transpose_masks", refuse)
         with pytest.raises(CapExceededError, match=r"^15 vertex pairs of n=6 exceed cap 14$"):
-            decode(6, transcript)
+            decode(6, Transcript(6, transcript.masks))
 
     def test_empty_graph_decodes_empty(self):
         g = Graph.empty(5)
