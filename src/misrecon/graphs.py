@@ -90,9 +90,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._adj[u] >> v & 1 == 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,14 +50,65 @@ def is_mis(g: Graph, q: int, i: int) -> bool:
     return not i & ~q and not covered & i and not q & ~i & ~covered
 
 
-def _greedy_insert(adj: tuple[int, ...], members: Iterable[int]) -> int:
-    """Greedy MIS over members, an order of a checked query's vertices: each
-    joins unless a chosen vertex is its neighbour."""
-    mis = 0
-    for v in members:
-        if not adj[v] & mis:
-            mis |= 1 << v
-    return mis
+# query x vertex cells _greedy_answers takes at a time, which bound its
+# temporaries: on a 3391-query scheme at n=200, Δ=8 its traced peak is
+# about 0.75 MB in blocks and 6-7 MB in one piece
+_ANSWER_CELLS = 2**15
+
+
+def _greedy_answers(g: Graph, masks: Sequence[int], start: int, first) -> list[int]:
+    """The greedy MIS of G[Q] for each Q = masks[i] over the vertex order of
+    the query at index start + i, _ANSWER_CELLS query x vertex cells at a
+    time. Per block, first(u, v, qi, member, edged, start) says for each
+    edge u < v inside query qi whether u comes first in qi's order, where
+    member[w, i] says whether vertex w is in query i, edged lists the
+    queries with an edge inside, and start is the block's first index. A
+    query with no edge inside answers with its own mask, its only MIS.
+
+    The greedy runs in rounds over the edges inside each query, each
+    pointed from its end that comes first. In a round, each undecided
+    vertex that is not the later end of an edge between undecided vertices
+    joins, and the later end of each of its edges drops out. The sequential
+    greedy does the same: every neighbour before such a vertex is decided
+    and out, as a joined one would have dropped it, so greedy takes it; a
+    vertex with an undecided neighbour before it waits for that one. A
+    round decides the first undecided vertex of every query, so the rounds
+    end, and the vertices still undecided once no edge is left have no
+    undecided or joined neighbour, so they join.
+    """
+    n = g.n
+    for q in masks:
+        if q < 0 or q >> n:
+            _check_query(n, q)
+    # each edge once, as its ends u < v: the bits of u's mask above u
+    upper = [a >> u + 1 << u + 1 for u, a in enumerate(g.adjacency_masks)]
+    eu, ev = np.nonzero(masks_to_bits(upper, n))
+    out = list(masks)
+    rows = max(1, _ANSWER_CELLS // max(n, 1))
+    for low in range(0, len(masks), rows):
+        width = min(rows, len(masks) - low)
+        # member[w, i]: vertex w is in query i; cell w * width + i of the flat view
+        member = np.ascontiguousarray(masks_to_bits(masks[low : low + rows], n).T).view(bool)
+        # the (edge, query) pairs of the edges inside each query
+        ei, qi = np.divmod(np.flatnonzero(member[eu] & member[ev]), width)
+        if not qi.size:
+            continue
+        edged = np.flatnonzero(np.bincount(qi, minlength=width))
+        u, v = eu[ei], ev[ei]
+        u_first = first(u, v, qi, member, edged, start + low)
+        early = np.where(u_first, u, v) * width + qi
+        late = np.where(u_first, v, u) * width + qi
+        dropped = np.zeros(member.size, bool)
+        while early.size:
+            is_late = np.zeros(member.size, bool)
+            is_late[late] = True
+            dropped[late[~is_late[early]]] = True
+            live = ~(dropped[early] | dropped[late])
+            early, late = early[live], late[live]
+        member[dropped.reshape(member.shape)] = False
+        for i, a in zip(edged.tolist(), bits_to_masks(member[:, edged].T)):
+            out[low + i] = a
+    return out
 
 
 class GreedyLexPolicy:
@@ -67,8 +118,10 @@ class GreedyLexPolicy:
     index_free = True
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        _check_query(g.n, q)
-        return _greedy_insert(g.adjacency_masks, iter_bits(q))
+        return self.answers(g, (q,), index)[0]
+
+    def answers(self, g: Graph, masks: Sequence[int], start: int = 0) -> list[int]:
+        return _greedy_answers(g, masks, start, lambda *_: True)  # u < v comes first
 
 
 class GreedyOrderPolicy:
@@ -81,37 +134,23 @@ class GreedyOrderPolicy:
         self.order = tuple(order)
 
     def answer(self, g: Graph, q: int, index: int) -> int:
-        _check_query(g.n, q)
-        return _greedy_insert(g.adjacency_masks, [v for v in self.order if q >> v & 1])
+        return self.answers(g, (q,), index)[0]
 
-
-# query x vertex cells RandomMisPolicy.answers takes at a time, which bound
-# its temporaries: on a 3391-query scheme at n=200, Δ=8 its traced peak is
-# about 0.6 MB in blocks and about 7 MB in one piece
-_ANSWER_CELLS = 2**15
+    def answers(self, g: Graph, masks: Sequence[int], start: int = 0) -> list[int]:
+        if sorted(self.order) != list(range(g.n)):
+            raise ValueError(f"order is not a permutation of 0..{g.n - 1}")
+        place = np.argsort(self.order)  # place[v]: v's position in the order
+        return _greedy_answers(g, masks, start, lambda u, v, *_: place[u] < place[v])
 
 
 class RandomMisPolicy:
     """Greedy under a fresh random order per query, keyed by (seed, index).
 
-    An edgeless G[Q] has Q as its only MIS and hashes nothing. Any other
-    query takes |Q| words of keyed_ranks keyed by (seed, index), gives its
-    t-th least member word t as its rank, and answers the greedy MIS over
-    the members in ascending (rank, vertex) order. Greedy over i.i.d. random
-    priorities is greedy over a uniform random order (Blelloch, Fineman &
-    Shun, SPAA 2012).
-
-    answers runs that greedy in rounds over the edges of G[Q]. An edge with
-    ends u < v points from u to v when rank u <= rank v, else from v to u:
-    from its end that comes first in (rank, vertex) order. In a round, each
-    undecided vertex that is not the later end of an edge between undecided
-    vertices joins, and the later end of each of its edges drops out. The
-    sequential greedy does the same: every neighbour before such a vertex
-    is decided and out, as a joined one would have dropped it, so greedy
-    takes it; a vertex with an undecided neighbour before it waits for that
-    one. A round decides the first undecided vertex of every query, so the
-    rounds end, and the vertices still undecided once no edge is left have
-    no undecided or joined neighbour, so they join.
+    A query with an edge inside takes |Q| words of keyed_ranks keyed by
+    (seed, index), gives its t-th least member word t as its rank, and
+    orders its members by (rank, vertex); an edgeless G[Q] hashes nothing.
+    Greedy over i.i.d. random priorities is greedy over a uniform random
+    order (Blelloch, Fineman & Shun, SPAA 2012).
     """
 
     def __init__(self, seed: int):
@@ -121,60 +160,18 @@ class RandomMisPolicy:
         return self.answers(g, (q,), index)[0]
 
     def answers(self, g: Graph, masks: Sequence[int], start: int = 0) -> list[int]:
-        """The answer to each masks[i] at index start + i, _ANSWER_CELLS
-        query x vertex cells at a time."""
-        n = g.n
-        for q in masks:
-            if q < 0 or q >> n:
-                _check_query(n, q)
-        # each edge once, as its ends u < v
-        eu, ev = np.nonzero(np.triu(masks_to_bits(g.adjacency_masks, n), 1))
-        if not eu.size:
-            return list(masks)
-        rows = max(1, _ANSWER_CELLS // max(n, 1))
-        out = []
-        for low in range(0, len(masks), rows):
-            out += self._block(masks[low : low + rows], start + low, n, eu, ev)
-        return out
+        return _greedy_answers(g, masks, start, self._first)
 
-    def _block(self, masks, start, n, eu, ev) -> list[int]:
-        """The answers to a block of queries, the first at index start; the
-        edges are eu[k] < ev[k]."""
-        width = len(masks)
-        # member[v, i]: vertex v is in query i; cell v * width + i of the flat view
-        member = np.ascontiguousarray(masks_to_bits(masks, n).T).view(bool)
-        # the (edge, query) pairs of the edges inside each query
-        inner = member[eu] & member[ev]
-        ei, qi = np.divmod(np.flatnonzero(inner), width)
-        if not qi.size:
-            return list(masks)
-        # below[v, i]: the members of query i up to v, so below[-1] is |Q_i|
+    def _first(self, u, v, qi, member, edged, start):
+        # below[w, i]: the members of query i up to w, so below[-1] is |Q_i|
         below = np.cumsum(member, axis=0, dtype=np.int32)
-        hashed = np.flatnonzero(inner.any(axis=0))
-        sizes = below[-1, hashed]
-        ranks = keyed_ranks(self.seed, [start + i for i in hashed.tolist()], sizes.tolist())
-        # query i's stream starts at first[i], and member v's word follows the
-        # members before it
-        first = np.zeros(width, np.int64)
-        first[hashed] = np.cumsum(sizes) - sizes
-        u, v = eu[ei], ev[ei]
-        base = first[qi] - 1
-        u_first = ranks[base + below[u, qi]] <= ranks[base + below[v, qi]]
-        early = np.where(u_first, u, v) * width + qi
-        late = np.where(u_first, v, u) * width + qi
-        dropped = np.zeros(member.size, bool)
-        while early.size:
-            is_late = np.zeros(member.size, bool)
-            is_late[late] = True
-            dropped[late[~is_late[early]]] = True
-            live = ~(dropped[early] | dropped[late])
-            early, late = early[live], late[live]
-        member[dropped.reshape(member.shape)] = False
-        # a query with no edge inside answers with its own mask
-        out = list(masks)
-        for i, a in zip(hashed.tolist(), bits_to_masks(member[:, hashed].T)):
-            out[i] = a
-        return out
+        sizes = below[-1, edged]
+        ranks = keyed_ranks(self.seed, [start + i for i in edged.tolist()], sizes.tolist())
+        # query i's words start at offset[i], one per member in ascending order
+        offset = np.zeros(member.shape[1], np.int64)
+        offset[edged] = np.cumsum(sizes) - sizes
+        base = offset[qi] - 1
+        return ranks[base + below[u, qi]] <= ranks[base + below[v, qi]]
 
 
 class AdversarialCliquePolicy:
@@ -191,15 +188,22 @@ class AdversarialCliquePolicy:
         self.desc = desc
 
     def answer(self, g: Graph, q: int, index: int) -> int:
+        return self.answers(g, (q,), index)[0]
+
+    def answers(self, g: Graph, masks: Sequence[int], start: int = 0) -> list[int]:
         if self.desc.n != g.n:
             raise ValueError("family descriptor does not match the graph's vertices")
-        _check_query(g.n, q)
-        outside = q & ~self.desc.clique
-        adj = g.adjacency_masks
-        for u in iter_bits(q & self.desc.clique):
-            if not adj[u] & outside:
-                return outside | 1 << u
-        return outside
+        adj, clique = g.adjacency_masks, self.desc.clique
+        out = []
+        for q in masks:
+            _check_query(g.n, q)
+            outside = q & ~clique
+            for u in iter_bits(q & clique):
+                if not adj[u] & outside:
+                    outside |= 1 << u
+                    break
+            out.append(outside)
+        return out
 
 
 def make_policy(kind: str, seed: int | None = None):
@@ -323,33 +327,32 @@ def _non_mis_pairs(g: Graph, transcript: Transcript) -> int:
 
 
 def run_scheme(g: Graph, scheme, policy) -> Transcript:
-    """Answer every query of the scheme in order under the given policy.
+    """Answer every query of the scheme in order in one policy.answers call.
 
     Every recorded answer is checked once per distinct (query, answer) pair,
     and a policy that breaks the MIS contract, by an answer that leaves its
     query too, raises OracleError at the first index where it does. A
-    policy whose class sets `index_free = True` answers from (g, q) alone
-    and is asked once per distinct query, at its first index, and each
-    answer is checked with is_mis. Any other policy answers every index in
-    one answers(g, masks) call, and its transcript is checked in one pass of
-    _non_mis_pairs over the transcript's vertex columns, which decode reads
-    again. An MIS pair's query lies in 0..n-1 and holds its answer, so the
-    transcript is built without Transcript's check.
+    policy whose class sets `index_free = True` answers from (g, q) alone:
+    it is asked about the distinct queries in order of first index, and
+    is_mis checks each answer. Any other policy is asked about every query,
+    and one pass of _non_mis_pairs over the transcript's vertex columns,
+    which decode reads again, checks the run. An MIS pair's query lies in
+    0..n-1 and holds its answer, so the transcript skips Transcript's check.
     """
     if scheme.n != g.n:
         raise ValueError("scheme universe does not match graph")
     masks = scheme.masks
-    if getattr(policy, "index_free", False):
-        answers = {}
-        for index, q in enumerate(masks):
-            if q not in answers:
-                a = answers[q] = policy.answer(g, q, index)
-                if not is_mis(g, q, a):
-                    raise OracleError(f"policy answer for query {index} is not an MIS")
-        return Transcript._from_checked(g.n, tuple([(q, answers[q]) for q in masks]))
-    answers = policy.answers(g, masks)
-    if len(answers) != len(masks):
-        raise OracleError(f"policy gave {len(answers)} answers to {len(masks)} queries")
+    index_free = getattr(policy, "index_free", False)
+    asked = list(dict.fromkeys(masks)) if index_free else masks
+    answers = policy.answers(g, asked)
+    if len(answers) != len(asked):
+        raise OracleError(f"policy gave {len(answers)} answers to {len(asked)} queries")
+    if index_free:
+        memo = dict(zip(asked, answers))
+        for q, a in memo.items():
+            if not is_mis(g, q, a):
+                raise OracleError(f"policy answer for query {masks.index(q)} is not an MIS")
+        return Transcript._from_checked(g.n, tuple([(q, memo[q]) for q in masks]))
     transcript = Transcript._from_checked(g.n, tuple(zip(masks, answers)))
     bad = _non_mis_pairs(g, transcript)
     if bad:

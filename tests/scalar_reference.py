@@ -137,6 +137,23 @@ def greedy_lex(g: Graph, q: int) -> int:
     return greedy_mis(g, q, range(g.n))
 
 
+class GreedyLexPolicy:
+    """The scan of all vertices in ascending order, one query at a time."""
+
+    def answer(self, g: Graph, q: int, index: int) -> int:
+        return greedy_lex(g, q)
+
+
+class GreedyOrderPolicy:
+    """The scan of a fixed order, one query at a time."""
+
+    def __init__(self, order):
+        self.order = tuple(order)
+
+    def answer(self, g: Graph, q: int, index: int) -> int:
+        return greedy_mis(g, q, self.order)
+
+
 class RandomMisPolicy:
     """Hash ranks keyed by (seed, index) per query, every query ranked,
     edgeless or not."""
@@ -260,10 +277,9 @@ def mis_family(adj, qmask: int) -> frozenset:
 
 def max_degree(g: Graph) -> int:
     """Maximum over all vertices of the neighbour count, each counted pair
-    by pair with has_edge."""
-    return max(
-        (sum(g.has_edge(u, v) for v in range(g.n)) for u in range(g.n)), default=0
-    )
+    by pair from the adjacency bits."""
+    adj = g.adjacency_masks
+    return max((sum(adj[u] >> v & 1 for v in range(g.n)) for u in range(g.n)), default=0)
 
 
 def induced_mis_context(g: Graph, q: int) -> dict[int, int]:

@@ -39,6 +39,7 @@ from misrecon.oracle import (
     RandomMisPolicy,
     Transcript,
     is_mis,
+    make_policy,
     run_scheme,
 )
 from misrecon.schemes import QueryScheme, SchemeConstructionError
@@ -432,7 +433,8 @@ STARTS = st.one_of(st.integers(0, 1000), st.integers(2**64 - 20, 2**64 + 5))
 
 class TestRandomMisBlocks:
     """answers gives each query the reference's answer at its own index,
-    whatever the block size, so blocks never leak ranks into each other."""
+    whatever the block size, so blocks never leak ranks into each other;
+    the greedy engine gives the scalar greedy's answer for every order."""
 
     # one row a block, a few rows, and the library's block size
     @pytest.mark.parametrize("cells", [1, 20, 64, oracle._ANSWER_CELLS])
@@ -441,17 +443,26 @@ class TestRandomMisBlocks:
     def test_equals_reference_at_every_index(self, cells, data, seed, start):
         g = data.draw(graphs(min_n=0, max_n=14))
         masks = data.draw(st.lists(subsets(g.n), max_size=12))
+        kind = data.draw(st.sampled_from(["random", "greedy-lex", "greedy-order"]))
+        if kind == "random":
+            policy = RandomMisPolicy(seed)
+            want = [ref.random_mis(g, q, seed, start + i) for i, q in enumerate(masks)]
+        elif kind == "greedy-lex":
+            policy, want = GreedyLexPolicy(), [ref.greedy_lex(g, q) for q in masks]
+        else:
+            order = data.draw(st.permutations(range(g.n)))
+            policy, want = GreedyOrderPolicy(order), [ref.greedy_mis(g, q, order) for q in masks]
         with patch.object(oracle, "_ANSWER_CELLS", cells):
-            answers = RandomMisPolicy(seed).answers(g, masks, start)
-        assert answers == [ref.random_mis(g, q, seed, start + i) for i, q in enumerate(masks)]
+            assert policy.answers(g, masks, start) == want
 
-    def test_peak_memory_of_the_criterion_three_scheme(self):
+    @pytest.mark.parametrize("kind", ["greedy-lex", "random"])
+    def test_peak_memory_of_the_criterion_three_scheme(self, kind):
         # trial 0 of criterion 3 at c=10 (n=200, delta=8, t=3391): in blocks
-        # the traced peak is about 0.6 MB, in one piece about 7 MB
+        # the traced peak is about 0.75 MB, in one piece 6-7 MB
         trial = derive_seed(30_000, 0)
         g = gen_bounded_degree(200, 8, 0.5, derive_seed(trial, 0))
         scheme = schemes.randomized_scheme(200, 8, 10.0, 1 / 9, derive_seed(trial, 1))
-        policy = RandomMisPolicy(derive_seed(trial, 2))
+        policy = make_policy(kind, seed=derive_seed(trial, 2))
         tracemalloc.start()
         try:
             policy.answers(g, scheme.masks)
@@ -482,26 +493,26 @@ def graph_and_policy(draw):
         return g, AdversarialCliquePolicy(desc), AdversarialCliquePolicy(desc)
     g = draw(graphs(max_n=8))
     if kind == "greedy-lex":
-        return g, GreedyLexPolicy(), GreedyLexPolicy()
+        return g, GreedyLexPolicy(), ref.GreedyLexPolicy()
     if kind == "greedy-order":
         order = draw(st.permutations(range(g.n)))
-        return g, GreedyOrderPolicy(order), GreedyOrderPolicy(order)
+        return g, GreedyOrderPolicy(order), ref.GreedyOrderPolicy(order)
     seed = draw(SEEDS)
     return g, RandomMisPolicy(seed), ref.RandomMisPolicy(seed)
 
 
 class CountingLexPolicy:
-    """Greedy-lex that records each (query, index) it is asked about and
-    declares itself index-free."""
+    """Greedy-lex that records each query it is asked about and declares
+    itself index-free."""
 
     index_free = True
 
     def __init__(self):
         self.asked = []
 
-    def answer(self, g, q, index):
-        self.asked.append((q, index))
-        return GreedyLexPolicy().answer(g, q, index)
+    def answers(self, g, masks, start=0):
+        self.asked += masks
+        return GreedyLexPolicy().answers(g, masks, start)
 
 
 class SecondTimeWrongPolicy:
@@ -555,10 +566,9 @@ class TestRunSchemeMemo:
         scheme = data.draw(pooled_scheme(g.n))
         policy = CountingLexPolicy()
         transcript = run_scheme(g, scheme, policy)
-        assert transcript == ref.run_scheme(g, scheme, GreedyLexPolicy())
-        # once per distinct query, in order of first index and with that index
-        masks = scheme.masks
-        assert policy.asked == [(q, masks.index(q)) for q in dict.fromkeys(masks)]
+        assert transcript == ref.run_scheme(g, scheme, ref.GreedyLexPolicy())
+        # once per distinct query, in order of first index
+        assert policy.asked == list(dict.fromkeys(scheme.masks))
 
     @pytest.mark.parametrize("policy", [
         GreedyLexPolicy(), RandomMisPolicy(3),

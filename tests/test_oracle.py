@@ -56,16 +56,23 @@ def test_every_exported_name_resolves():
 
 def src_callers(*names):
     """name -> the (file, innermost function) pairs of src/misrecon that call
-    it or read it as an attribute."""
+    it or read it as an attribute; a method is named Class.method."""
     callers = {name: set() for name in names}
 
     class Visitor(ast.NodeVisitor):
         def __init__(self, path):
-            self.path, self.scope = path, ["<module>"]
+            self.path, self.scope, self.cls = path, ["<module>"], ""
+
+        def visit_ClassDef(self, node):
+            outer, self.cls = self.cls, node.name + "."
+            self.generic_visit(node)
+            self.cls = outer
 
         def visit_FunctionDef(self, node):
-            self.scope.append(node.name)
+            self.scope.append(self.cls + node.name)
+            outer, self.cls = self.cls, ""
             self.generic_visit(node)
+            self.cls = outer
             self.scope.pop()
 
         def visit_Call(self, node):
@@ -99,7 +106,18 @@ def test_only_checked_pairs_skip_the_transcript_check():
     # run_scheme's pairs passed its MIS check and from_text's lines were
     # refused one by one, so those two alone build a transcript unchecked
     assert src_callers("_from_checked") == {
-        "_from_checked": {("oracle.py", "run_scheme"), ("oracle.py", "from_text")},
+        "_from_checked": {("oracle.py", "run_scheme"), ("oracle.py", "Transcript.from_text")},
+    }
+
+
+def test_the_three_vertex_order_oracles_share_one_greedy():
+    # greedy-lex, greedy-order and random-MIS differ only in the order they
+    # give each inner edge; the rounds are written once
+    assert src_callers("_greedy_answers") == {
+        "_greedy_answers": {
+            ("oracle.py", f"{cls}.answers")
+            for cls in ("GreedyLexPolicy", "GreedyOrderPolicy", "RandomMisPolicy")
+        },
     }
 
 
@@ -154,6 +172,15 @@ class TestGreedyMis:
 
     def test_order_respected(self):
         assert greedy(Graph.complete(3), full(3), [2, 1, 0]) == vs(3, 2)
+
+    # a missing vertex, a repeated one, one outside 0..2 and one too many
+    @pytest.mark.parametrize("order", [(0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            GreedyOrderPolicy(order).answers(path_graph(3), [vs(3, 0, 1)])
+        # a run refuses it as bad input, not as a policy fault
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            run_scheme(path_graph(3), QueryScheme(3, (vs(3, 0, 1),)), GreedyOrderPolicy(order))
 
 
 class TestRandomMis:
