@@ -217,9 +217,9 @@ def make_policy(kind: str, seed: int | None = None):
     raise ValueError(f"unknown policy kind: {kind}")
 
 
-# pair x vertex cells that Transcript._columns transposes at a time, which
-# bound its temporaries: a 3391-query scheme at n=200, and a 1946-query one
-# at n=2000, is one block
+# mask x vertex cells that Transcript._columns transposes at a time, two
+# masks a pair, which bound its temporaries: a 3391-query scheme at n=200,
+# and a 1946-query one at n=2000, is one block
 _CHECK_CELLS = 2**23
 
 
@@ -253,17 +253,20 @@ class Transcript:
     def _columns(self) -> tuple[list[tuple[int, int]], list[int], list[int]]:
         """(pairs, qcol, acol): the distinct pairs in first-index order, and
         bit k of qcol[v] and acol[v] says whether vertex v < n is in the query
-        and the answer of pairs[k]. Built on first use, _CHECK_CELLS pair x
+        and the answer of pairs[k]. Built on first use, _CHECK_CELLS mask x
         vertex cells at a time; not a field, so no part of equality."""
         n = self.n
         pairs = list(dict.fromkeys(self.masks))
         qcol, acol = [0] * n, [0] * n
-        rows = max(1, _CHECK_CELLS // max(n, 1))
+        rows = max(1, _CHECK_CELLS // max(2 * n, 1))
         for low in range(0, len(pairs), rows):
             queries, answers = zip(*pairs[low : low + rows])
-            for col, block in ((qcol, queries), (acol, answers)):
-                for v, bits in enumerate(transpose_masks(block, n)):
-                    col[v] |= bits << low
+            # bit i of col is query i of the block, bit k + i its answer
+            k = len(queries)
+            below = (1 << k) - 1
+            for v, col in enumerate(transpose_masks(queries + answers, n)):
+                qcol[v] |= (col & below) << low
+                acol[v] |= (col >> k) << low
         return pairs, qcol, acol
 
     @property

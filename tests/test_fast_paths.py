@@ -171,7 +171,7 @@ class TestBernoulliRows:
             assert rng.getstate() == state
 
     def test_import_does_not_load_numpy_random(self):
-        # the drawer exists so that numpy.random (several MB) stays unloaded
+        # numpy.random (about 2 MB) is imported by large draws only
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys, misrecon; print('numpy.random' in sys.modules)"],
@@ -179,6 +179,110 @@ class TestBernoulliRows:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\n"
+
+    def test_only_draws_over_the_size_rule_load_numpy_random(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from misrecon import schemes, util\n"
+             "schemes.random_queries(200, 20, 0.1, 1)\n"
+             "print('numpy.random' in sys.modules)\n"
+             "schemes.random_queries(200, util._MT_CELLS // 200 + 1, 0.1, 1)\n"
+             "print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\nTrue\n"
+
+
+class TestMt19937Rows:
+    """Draws of at least util._MT_CELLS cells take rng's words from numpy's
+    MT19937 and give what per-element rng.random() < p gives."""
+
+    @checked
+    @given(
+        data=st.data(),
+        rows=st.integers(0, 12),
+        width=st.integers(0, 70),
+        seed=SEEDS,
+        prefix=st.integers(0, 1300),
+        gauss=st.booleans(),
+    )
+    @example(data=None, rows=17, width=65, seed=1, prefix=0, gauss=False)
+    @example(data=None, rows=3, width=0, seed=2, prefix=623, gauss=True)
+    def test_equals_per_element_draws_and_leaves_same_state(
+        self, data, rows, width, seed, prefix, gauss
+    ):
+        # a prefix of random() calls starts the draw at every phase of the
+        # 624-word twist, and a gauss() call leaves gauss_next pending
+        scalar, batched = random.Random(seed), random.Random(seed)
+        for rng in (scalar, batched):
+            for _ in range(prefix):
+                rng.random()
+            if gauss:
+                rng.gauss(0.0, 1.0)
+        values = [scalar.random() for _ in range(rows * width)]
+        choices = st.one_of(PROBABILITIES, st.sampled_from(values)) if values else PROBABILITIES
+        p = 0.3 if data is None else data.draw(choices)  # p may equal a drawn value
+        expected = [
+            sum(1 << j for j in range(width) if values[i * width + j] < p)
+            for i in range(rows)
+        ]
+        with patch.object(util, "_MT_CELLS", 0):
+            assert bernoulli_rows(batched, rows, width, p) == expected
+        assert batched.getstate() == scalar.getstate()
+
+    def test_trial_sized_draw_equals_per_element_draws(self):
+        # a criterion-3 scheme at c=10 (3391 queries at n=200), unpatched
+        scalar, batched = random.Random(7), random.Random(7)
+        expected = [
+            sum(1 << j for j in range(200) if scalar.random() < 1 / 9)
+            for _ in range(3391)
+        ]
+        assert 3391 * 200 >= util._MT_CELLS
+        assert bernoulli_rows(batched, 3391, 200, 1 / 9) == expected
+        assert batched.getstate() == scalar.getstate()
+
+    @pytest.mark.parametrize("elements", [1, 7, 64])
+    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, elements):
+        # each generator call asks for at most 2 * _DRAW_ELEMENTS words
+        import numpy.random
+
+        # named as its base, since numpy checks a state's name against the class
+        class MT19937(numpy.random.MT19937):
+            def random_raw(self, size=None, output=True):
+                calls.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(util, "_DRAW_ELEMENTS", elements)
+        monkeypatch.setattr(util, "_MT_CELLS", 0)
+        monkeypatch.setattr(numpy.random, "MT19937", MT19937)
+        for rows, width, p, seed in ((17, 65, 0.3, 1), (3, 0, 0.5, 2), (5, 7, 0.5, 3),
+                                     (40, 3, 0.7, 4), (2, 200, 0.1, 5), (1, 1, 0.5, 6)):
+            calls = []
+            scalar, batched = random.Random(seed), random.Random(seed)
+            expected = [
+                sum(1 << j for j in range(width) if scalar.random() < p)
+                for _ in range(rows)
+            ]
+            assert bernoulli_rows(batched, rows, width, p) == expected
+            assert batched.getstate() == scalar.getstate()
+            assert max(calls, default=0) <= 2 * elements
+            assert bool(calls) == bool(rows * width)
+
+    def test_peak_memory_of_a_wide_draw(self):
+        # 10 sets of the default n=200 CFF ground (101,711 elements) are one
+        # block of 1,017,110 cells: 16 bytes a cell, about 16.5 MB traced;
+        # a second block must not find the first one's keys still alive
+        rng = random.Random(derive_seed(1, 1))
+        tracemalloc.start()
+        try:
+            masks = bernoulli_rows(rng, 20, 101_711, 0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 20 and 10 * 101_711 >= util._MT_CELLS
+        assert peak < 24 * 2**20
 
 
 class TestRandomSetFamily:
@@ -809,8 +913,8 @@ class TestColumnDecode:
 
     @pytest.mark.parametrize("policy", [RandomMisPolicy(5), GreedyLexPolicy()])
     def test_columns_are_built_once(self, policy, monkeypatch):
-        # one block of pairs: its queries and its answers are transposed once
-        # each, by a random-MIS run's check or else by the first decode
+        # one block of pairs: its queries and its answers are transposed in
+        # one call, by a random-MIS run's check or else by the first decode
         calls = []
 
         def counting_transpose(masks, width):
@@ -822,7 +926,7 @@ class TestColumnDecode:
         run = run_scheme(g, QueryScheme(4, (0b1111, 0b0111, 0b1111, 0b1110)), policy)
         checked = len(calls)
         results = [reconstruct.decode(4, run) for _ in range(2)]
-        assert (checked, calls) == (2 if isinstance(policy, RandomMisPolicy) else 0, [4, 4])
+        assert (checked, calls) == (1 if isinstance(policy, RandomMisPolicy) else 0, [4])
         assert results[0] == results[1]
 
     def test_run_columns_are_no_field(self):
