@@ -94,17 +94,19 @@ def shuffle(rng: random.Random, x: MutableSequence) -> None:
         x[i], x[j] = x[j], x[i]
 
 
-# rows per block and cells per key draw, which bound the temporaries of
-# bernoulli_rows to about 24 MiB: 24 bytes a cell for getrandbits, 16 for
-# MT19937 (a 10 x 101,711 block traces a peak of 23.3 and 16.5 MiB, the
-# default CFF family's 200 x 101,711 draw 25.9 and 19.1, 2.6 of it masks)
-_DRAW_ROWS = 16
-_DRAW_ELEMENTS = 1 << 20
+# cells per draw block, which bound the temporaries of bernoulli_rows to
+# about 0.3 MB: a block holds max(1, _DRAW_CELLS // width) rows, and a wider
+# row is drawn in pieces of _DRAW_CELLS cells (20 rows over the default CFF
+# family's 101,711 elements trace a peak of 0.57 MiB, 0.26 of it masks, and
+# 1.24 when the draw first imports numpy.random)
+_DRAW_CELLS = 1 << 15
 
 # cells (rows * width) from which bernoulli_rows draws through numpy's
-# MT19937: about 13 ns a cell faster, after about 300 us a call to build the
-# generator and carry the state over and back; the two break even at 19k-22k
-# cells (rows of 200, and 12 rows, on a 2-core VM)
+# RandomState over MT19937, after about 0.25 ms a call to build the
+# generator and carry the state over and back; the two break even at
+# 14k-16k cells (rows of 200 or 12 rows, on a 2-core VM), and 20,000 keeps
+# the largest draw of the exhaustive benchmark (16,308 cells) from
+# importing numpy.random
 _MT_CELLS = 20_000
 
 # bits one bernoulli_rows call may draw, each row counted as at least 64 for
@@ -122,29 +124,17 @@ def check_draw_cap(rows: int, width: int) -> None:
         )
 
 
-def _random_keys(rng: random.Random, m: int) -> np.ndarray:
-    """The 53-bit integers k with k * 2**-53 equal to the next m rng.random().
+def _random_doubles(rng: random.Random, m: int) -> np.ndarray:
+    """The next m rng.random(), as float64.
 
     CPython's random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53 for two
     consecutive Mersenne Twister outputs w0, w1, and getrandbits(64 * m)
     holds the next 2 * m outputs, the first one least significant. So one
-    call draws m values and leaves rng where m calls of random() would.
+    call draws m values and leaves rng where m calls of random() would; each
+    integer is below 2**53, so its product with 2**-53 is exact.
     """
     pairs = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
-    return (pairs & 0xFFFFFFFF) >> 5 << 26 | pairs >> 38
-
-
-def _mt_keys(gen, m: int) -> np.ndarray:
-    """_random_keys for a numpy MT19937 gen holding rng's state: random_raw
-    gives the same 2 * m outputs, one a uint64, and the keys are made in
-    place in the first output of each pair."""
-    words = gen.random_raw(2 * m)
-    keys, low = words[0::2], words[1::2]
-    keys >>= 5
-    keys <<= 26
-    low >>= 6
-    keys |= low
-    return keys
+    return ((pairs & 0xFFFFFFFF) >> 5 << 26 | pairs >> 38) * 2.0**-53
 
 
 def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[int]:
@@ -154,13 +144,15 @@ def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[
     CapExceededError, before any draw, when check_draw_cap refuses.
 
     Draws of at least _MT_CELLS cells load rng's Mersenne Twister state into
-    numpy's MT19937, the same generator (Matsumoto and Nishimura, 1998), draw
-    its words, and hand the state back; smaller ones call rng.getrandbits,
-    so they leave numpy.random unimported."""
+    numpy's MT19937, the same generator (Matsumoto and Nishimura, 1998),
+    read the doubles from RandomState's random_sample, which computes
+    random()'s formula, and hand the state back; RandomState, not Generator,
+    because NumPy's compatibility policy (NEP 19) freezes its stream. Smaller
+    draws call rng.getrandbits, so they leave numpy.random unimported."""
     check_draw_cap(rows, width)
     if rows * width < _MT_CELLS:
-        return _draw_rows(lambda m: _random_keys(rng, m), rows, width, p)
-    from numpy.random import MT19937
+        return _draw_rows(lambda m: _random_doubles(rng, m), rows, width, p)
+    from numpy.random import MT19937, RandomState
 
     version, state, gauss_next = rng.getstate()
     gen = MT19937()
@@ -168,18 +160,16 @@ def bernoulli_rows(rng: random.Random, rows: int, width: int, p: float) -> list[
         "bit_generator": "MT19937",
         "state": {"key": np.array(state[:-1], np.uint32), "pos": state[-1]},
     }
-    masks = _draw_rows(lambda m: _mt_keys(gen, m), rows, width, p)
+    masks = _draw_rows(RandomState(gen).random_sample, rows, width, p)
     after = gen.state["state"]
     rng.setstate((version, (*after["key"].tolist(), after["pos"]), gauss_next))
     return masks
 
 
-def _draw_rows(keys: Callable[[int], np.ndarray], rows: int, width: int, p: float) -> list[int]:
-    """bernoulli_rows with keys(m), the 53-bit keys of the next m random()."""
-    # k * 2**-53 < p exactly when the integer k is below p * 2**53 rounded up
-    threshold = math.ceil(p * 2**53)
-    block = min(_DRAW_ROWS, max(1, _DRAW_ELEMENTS // max(width, 1)))
-    span = max(1, min(width, _DRAW_ELEMENTS))
+def _draw_rows(doubles: Callable[[int], np.ndarray], rows: int, width: int, p: float) -> list[int]:
+    """bernoulli_rows with doubles(m), the next m random()."""
+    block = max(1, _DRAW_CELLS // max(width, 1))
+    span = max(1, min(width, _DRAW_CELLS))
     masks = []
     for start in range(0, rows, block):
         count = min(block, rows - start)
@@ -187,9 +177,9 @@ def _draw_rows(keys: Callable[[int], np.ndarray], rows: int, width: int, p: floa
         # first: consecutive draws continue one stream
         row_masks = [0] * count
         for low in range(0, width, span):
-            # one expression, so no piece's keys live on into the next draw
+            # one expression, so no piece's doubles live on into the next draw
             cells = count * min(span, width - low)
-            pieces = bits_to_masks(keys(cells).reshape(count, -1) < threshold)
+            pieces = bits_to_masks(doubles(cells).reshape(count, -1) < p)
             row_masks = [m | b << low for m, b in zip(row_masks, pieces)]
         masks.extend(row_masks)
     return masks

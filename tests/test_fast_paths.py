@@ -128,10 +128,10 @@ class TestBernoulliRows:
         assert bernoulli_rows(batched, rows, width, p) == expected
         assert batched.getstate() == scalar.getstate()
 
-    @pytest.mark.parametrize("elements", [1, 7, 64])
-    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, elements):
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, cells):
         # blocks shrink to fit the bound, and wider rows are drawn in pieces
-        monkeypatch.setattr(util, "_DRAW_ELEMENTS", elements)
+        monkeypatch.setattr(util, "_DRAW_CELLS", cells)
 
         class Recording(random.Random):
             def getrandbits(self, k):
@@ -148,7 +148,7 @@ class TestBernoulliRows:
             ]
             assert bernoulli_rows(batched, rows, width, p) == expected
             assert batched.getstate() == scalar.getstate()
-            assert max(calls, default=0) <= 64 * elements
+            assert max(calls, default=0) <= 64 * cells
 
     @checked
     @given(seed=SEEDS)
@@ -196,8 +196,8 @@ class TestBernoulliRows:
 
 
 class TestMt19937Rows:
-    """Draws of at least util._MT_CELLS cells take rng's words from numpy's
-    MT19937 and give what per-element rng.random() < p gives."""
+    """Draws of at least util._MT_CELLS cells read rng's doubles from numpy's
+    RandomState over MT19937 and give what per-element rng.random() < p gives."""
 
     @checked
     @given(
@@ -243,20 +243,19 @@ class TestMt19937Rows:
         assert bernoulli_rows(batched, 3391, 200, 1 / 9) == expected
         assert batched.getstate() == scalar.getstate()
 
-    @pytest.mark.parametrize("elements", [1, 7, 64])
-    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, elements):
-        # each generator call asks for at most 2 * _DRAW_ELEMENTS words
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_bounded_draws_equal_per_element_draws(self, monkeypatch, cells):
+        # each RandomState draw asks for at most _DRAW_CELLS doubles
         import numpy.random
 
-        # named as its base, since numpy checks a state's name against the class
-        class MT19937(numpy.random.MT19937):
-            def random_raw(self, size=None, output=True):
+        class Recording(numpy.random.RandomState):
+            def random_sample(self, size=None):
                 calls.append(size)
-                return super().random_raw(size, output)
+                return super().random_sample(size)
 
-        monkeypatch.setattr(util, "_DRAW_ELEMENTS", elements)
+        monkeypatch.setattr(util, "_DRAW_CELLS", cells)
         monkeypatch.setattr(util, "_MT_CELLS", 0)
-        monkeypatch.setattr(numpy.random, "MT19937", MT19937)
+        monkeypatch.setattr(numpy.random, "RandomState", Recording)
         for rows, width, p, seed in ((17, 65, 0.3, 1), (3, 0, 0.5, 2), (5, 7, 0.5, 3),
                                      (40, 3, 0.7, 4), (2, 200, 0.1, 5), (1, 1, 0.5, 6)):
             calls = []
@@ -267,13 +266,14 @@ class TestMt19937Rows:
             ]
             assert bernoulli_rows(batched, rows, width, p) == expected
             assert batched.getstate() == scalar.getstate()
-            assert max(calls, default=0) <= 2 * elements
+            assert max(calls, default=0) <= cells
             assert bool(calls) == bool(rows * width)
 
     def test_peak_memory_of_a_wide_draw(self):
-        # 10 sets of the default n=200 CFF ground (101,711 elements) are one
-        # block of 1,017,110 cells: 16 bytes a cell, about 16.5 MB traced;
-        # a second block must not find the first one's keys still alive
+        # 20 sets of the default n=200 CFF ground (101,711 elements), each
+        # drawn in pieces of _DRAW_CELLS cells: 0.57 MiB traced, 1.24 when
+        # the draw first imports numpy.random; the whole draw at once would
+        # hold 16 MiB of doubles
         rng = random.Random(derive_seed(1, 1))
         tracemalloc.start()
         try:
@@ -281,8 +281,9 @@ class TestMt19937Rows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(masks) == 20 and 10 * 101_711 >= util._MT_CELLS
-        assert peak < 24 * 2**20
+        assert len(masks) == 20 and 20 * 101_711 >= util._MT_CELLS
+        assert 101_711 > util._DRAW_CELLS
+        assert peak < 4 * 2**20
 
 
 class TestRandomSetFamily:
