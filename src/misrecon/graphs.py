@@ -29,6 +29,9 @@ ENUM_CAP = 10**6
 # vertex pairs C(n, 2) of the dense per-pair work: the candidate edges of
 # gen_bounded_degree and the pairs u < v that reconstruct.decode walks
 VERTEX_PAIR_CAP = 5 * 10**6
+# shuffled candidates gen_bounded_degree turns into vertex arrays at a time,
+# which bound those arrays: the whole list would add about 48 MB at n=2000
+_GEN_BLOCK = 1024
 
 
 class Graph:
@@ -196,19 +199,26 @@ def gen_bounded_degree(n: int, delta: int, density: float, seed: int) -> Graph:
     # each candidate u < v as its code u * n + v, in (u, v) order: shuffle makes
     # the same draws whatever the elements are, and an int a pair is about
     # half the memory of a tuple each
-    us, vs = np.triu_indices(n, 1)
-    candidates = (us * n + vs).tolist()
+    candidates = []
+    for u in range(n):
+        candidates += range(u * n + u + 1, u * n + n)
     shuffle(rng, candidates)
     draw = rng.random  # continues from the state the shuffle left
-    deg = [0] * n
-    edges = []
-    for code in candidates:
-        u, v = divmod(code, n)
-        if deg[u] < delta and deg[v] < delta and draw() < density:
-            deg[u] += 1
-            deg[v] += 1
-            edges.append((u, v))
-    return Graph(n, edges)
+    deg, adj = [0] * n, [0] * n
+    full = np.full(n, delta == 0)  # full[v]: deg[v] == delta
+    for low in range(0, len(candidates), _GEN_BLOCK):
+        # degrees only grow, so a candidate with an end full when its block
+        # begins would never draw; a block at a time bounds the arrays
+        us, vs = np.divmod(np.array(candidates[low : low + _GEN_BLOCK]), n)
+        live = ~(full[us] | full[vs])
+        for u, v in zip(us[live].tolist(), vs[live].tolist()):
+            if deg[u] < delta and deg[v] < delta and draw() < density:
+                deg[u] += 1
+                deg[v] += 1
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                full[u], full[v] = deg[u] == delta, deg[v] == delta
+    return Graph._from_masks(tuple(adj))
 
 
 def _member_base(desc: AdversarialFamilyDesc) -> tuple[tuple[int, ...], list[int], list[int]]:

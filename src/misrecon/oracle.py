@@ -105,7 +105,7 @@ def _greedy_answers(g: Graph, masks: Sequence[int], start: int, first) -> list[i
             dropped[late[~is_late[early]]] = True
             live = ~(dropped[early] | dropped[late])
             early, late = early[live], late[live]
-        member[dropped.reshape(member.shape)] = False
+        member &= ~dropped.reshape(member.shape)
         for i, a in zip(edged.tolist(), bits_to_masks(member[:, edged].T)):
             out[low + i] = a
     return out
@@ -323,8 +323,11 @@ def _non_mis_pairs(g: Graph, transcript: Transcript) -> int:
     bad = sum([1 << k for k, (q, a) in enumerate(pairs) if (q | a) >> n])
     for v in range(n):
         covered = 0
-        for u in iter_bits(adj[v]):
-            covered |= acol[u]
+        rest = adj[v]
+        while rest:  # iter_bits inlined: this runs once per edge end
+            low = rest & -rest
+            covered |= acol[low.bit_length() - 1]
+            rest ^= low
         bad |= acol[v] & (covered | ~qcol[v]) | qcol[v] & ~acol[v] & ~covered
     return bad
 

@@ -45,6 +45,16 @@ class DecodeResult:
         return (self.complete or unknown_as_nonedge) and Graph(self.n, self.edges) == g
 
 
+# decode first ANDs each pair's answer columns on their low quarter once a
+# quarter of the distinct pairs is _DECODE_PREFIX bits or more: most
+# co-answered pairs are settled there, and a pair that shares no answer pays
+# one more AND. Narrower columns do not earn that back (n=2000, t=1946: 15%
+# slower with any prefix), so they take the single test. At n=200, t=3391
+# decode takes about 4% less time, and at n=2000 with 143,715 queries 1.3-1.4
+# s against 4.5-6.4 s
+_DECODE_PREFIX = 512
+
+
 def decode(n: int, transcript: Transcript) -> DecodeResult:
     """Classify every unordered pair from the transcript evidence; refused
     over graphs.VERTEX_PAIR_CAP pairs.
@@ -52,16 +62,25 @@ def decode(n: int, transcript: Transcript) -> DecodeResult:
     Co-occurrence is read off the transcript's vertex columns: u and v
     share an answer iff acol[u] & acol[v], and a query iff qcol[u] & qcol[v].
     A co-answered pair is a certified non-edge; of the other pairs u < v,
-    the co-queried ones are edges and the rest stay unknown.
+    the co-queried ones are edges and the rest stay unknown. From
+    4 * _DECODE_PREFIX distinct pairs up, a pair's whole answer columns are
+    ANDed only if their low quarter shares no answer.
     """
     if transcript.n != n:
         raise ValueError("transcript universe mismatch")
     check_vertex_pair_cap(n)
-    _, qcol, acol = transcript._columns
+    pairs, qcol, acol = transcript._columns
+    width = len(pairs) // 4
+    head = [a & (1 << width) - 1 for a in acol] if width >= _DECODE_PREFIX else None
     edges, unknown = [], []
     for u in range(n):
         au, qu = acol[u], qcol[u]
-        for v in [v for v in range(u + 1, n) if not au & acol[v]]:
+        if head is None:
+            apart = [v for v in range(u + 1, n) if not au & acol[v]]
+        else:
+            hu = head[u]
+            apart = [v for v in range(u + 1, n) if not hu & head[v] and not au & acol[v]]
+        for v in apart:
             (edges if qu & qcol[v] else unknown).append((u, v))
     return DecodeResult(n, tuple(edges), tuple(unknown))
 

@@ -40,10 +40,12 @@ class QueryScheme:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"scheme universe size must be >= 0, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"scheme universe size must be >= 0, got {n}")
         for m in self.masks:
-            _check_query(self.n, m)
+            if m < 0 or m >> n:  # _check_query inlined: a scheme has thousands
+                _check_query(n, m)
 
     @property
     def queries(self) -> tuple[tuple[int, ...], ...]:

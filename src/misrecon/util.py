@@ -85,13 +85,13 @@ def shuffle(rng: random.Random, x: MutableSequence) -> None:
     are identical, without a Python frame per drawn element.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
-        j = getrandbits(k)
-        while j >= m:
+    # the i with (i + 1).bit_length() == k run from 2^k - 2 down to 2^(k-1) - 1
+    for k in range(len(x).bit_length(), 1, -1):
+        for i in range(min(len(x) - 1, (1 << k) - 2), (1 << k - 1) - 2, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
 
 
 # cells per draw block, which bound the temporaries of bernoulli_rows to
@@ -173,8 +173,11 @@ def _draw_rows(doubles: Callable[[int], np.ndarray], rows: int, width: int, p: f
     masks = []
     for start in range(0, rows, block):
         count = min(block, rows - start)
+        if span == width:  # whole rows, so each is one piece
+            masks += bits_to_masks(doubles(count * width).reshape(count, width) < p)
+            continue
         # a row wider than span (then count is 1) is drawn in pieces, low bits
-        # first: consecutive draws continue one stream
+        # first: consecutive draws continue one stream; a row of width 0 in none
         row_masks = [0] * count
         for low in range(0, width, span):
             # one expression, so no piece's doubles live on into the next draw
@@ -204,7 +207,8 @@ def bits_to_masks(bits: np.ndarray) -> list[int]:
         return [0] * rows
     # slices of one bytes object: a row view of the array per mask is slower
     stream = packed.tobytes()
-    return [int.from_bytes(stream[i : i + size], "little") for i in range(0, rows * size, size)]
+    from_bytes = int.from_bytes
+    return [from_bytes(stream[i : i + size], "little") for i in range(0, rows * size, size)]
 
 
 # bytes of ground elements per block, which bounds the temporaries of

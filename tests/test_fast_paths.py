@@ -6,6 +6,7 @@ builder) must give exactly the output of the code kept in
 scalar_reference.py, on every input hypothesis draws.
 """
 
+import hashlib
 import inspect
 import itertools
 import math
@@ -462,8 +463,9 @@ class TestEdgelessShortcut:
             RandomMisPolicy(0).answer(Graph.empty(3), 0b11000, 0)
 
 
-# lengths where the bit length of the draw bound changes: 2^k - 1, 2^k, 2^k + 1
-SHUFFLE_LENGTHS = sorted({0, 1} | {2**k + d for k in range(1, 9) for d in (-1, 0, 1)})
+# lengths where the bit length of the draw bound changes: 2^k - 1, 2^k, 2^k + 1,
+# up to k = 15, past the 19,900 candidate pairs of an n=200 graph
+SHUFFLE_LENGTHS = sorted({0, 1} | {2**k + d for k in range(1, 16) for d in (-1, 0, 1)})
 
 # Random(seed) hashes seeds of any size (and sign) into its state
 ANY_SEED = st.one_of(SEEDS, st.integers(2**64, 2**256), st.integers(-(2**80), -1))
@@ -481,10 +483,17 @@ class TestShuffle:
         assert got == expected
         assert inlined.getstate() == stdlib.getstate()
 
-    @pytest.mark.parametrize("length", SHUFFLE_LENGTHS)
+    @pytest.mark.parametrize("length", [m for m in SHUFFLE_LENGTHS if m <= 2**8 + 1])
     @checked
     @given(seed=ANY_SEED)
     def test_equals_stdlib_at_bit_length_edges(self, length, seed):
+        self.assert_same_as_stdlib(length, seed)
+
+    # fewer seeds a length: an example shuffles up to 32,769 elements twice
+    @pytest.mark.parametrize("length", [m for m in SHUFFLE_LENGTHS if m > 2**8 + 1])
+    @settings(deadline=None, max_examples=5)
+    @given(seed=ANY_SEED)
+    def test_equals_stdlib_at_long_bit_length_edges(self, length, seed):
         self.assert_same_as_stdlib(length, seed)
 
     @checked
@@ -512,6 +521,24 @@ class TestGenBoundedDegree:
                 assert gen_bounded_degree(12, delta, density, seed) == (
                     ref.gen_bounded_degree(12, delta, density, seed)
                 )
+
+    # one candidate a block, a few, and blocks that split n=40's 780 candidates
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data(), seed=SEEDS)
+    def test_equals_reference_in_any_block_size(self, block, data, seed):
+        n = data.draw(st.integers(0, 40))
+        delta = data.draw(st.integers(0, max(n - 1, 0)))
+        density = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        with patch.object(lib_graphs, "_GEN_BLOCK", block):
+            fast = gen_bounded_degree(n, delta, density, seed)
+        assert fast == ref.gen_bounded_degree(n, delta, density, seed)
+
+    @pytest.mark.parametrize("seed", [0, derive_seed(derive_seed(30_000, 0), 0)])
+    def test_equals_reference_across_blocks_at_criterion_three_size(self, seed):
+        # 19,900 candidates, 20 blocks of the library's size
+        assert math.comb(200, 2) > 16 * lib_graphs._GEN_BLOCK
+        assert gen_bounded_degree(200, 8, 0.5, seed) == ref.gen_bounded_degree(200, 8, 0.5, seed)
 
 
 class TestRandomMisPolicyShapes:
@@ -559,6 +586,19 @@ class TestRandomMisBlocks:
             policy, want = GreedyOrderPolicy(order), [ref.greedy_mis(g, q, order) for q in masks]
         with patch.object(oracle, "_ANSWER_CELLS", cells):
             assert policy.answers(g, masks, start) == want
+
+    def test_ranks_key_any_index_mod_two_to_the_64(self):
+        # the index field wraps: negative indices and those from 2^64 up
+        seed = 2**70 + 12345
+        indices = [-1, -(2**70) - 3, 0, 5, 2**64 - 1, 2**64, 2**64 + 7, 2**100]
+        counts = [3, 1, 2, 4, 1, 2, 3, 1]
+        want = b"".join(
+            hashlib.shake_128(
+                (seed % 2**64).to_bytes(8, "little") + (i % 2**64).to_bytes(8, "little")
+            ).digest(8 * c)
+            for i, c in zip(indices, counts)
+        )
+        assert util.keyed_ranks(seed, indices, counts).tobytes() == want
 
     @pytest.mark.parametrize("kind", ["greedy-lex", "random"])
     def test_peak_memory_of_the_criterion_three_scheme(self, kind):
@@ -929,6 +969,28 @@ class TestColumnDecode:
         results = [reconstruct.decode(4, run) for _ in range(2)]
         assert (checked, calls) == (1 if isinstance(policy, RandomMisPolicy) else 0, [4])
         assert results[0] == results[1]
+
+    # the threshold at 0, 1 and 7, so a transcript of up to 30 distinct pairs
+    # takes a prefix of a quarter of them (0 to 7 bits) from that many pairs
+    # up, and one over the transcript's pairs (None), so it takes none
+    @pytest.mark.parametrize("prefix", [0, 1, 7, None])
+    @checked
+    @given(data=st.data())
+    def test_any_prefix_equals_pair_loop(self, prefix, data):
+        g, policy = data.draw(decode_runs())
+        run = run_scheme(g, data.draw(pooled_scheme(g.n)), policy)
+        with patch.object(reconstruct, "_DECODE_PREFIX", len(run) + 1 if prefix is None else prefix):
+            result = reconstruct.decode(g.n, run)
+        assert (result.edges, result.unknown_pairs) == ref.decode(g.n, run)
+
+    def test_library_prefix_equals_pair_loop(self):
+        # 2393 distinct pairs take a 598-bit prefix at the library's
+        # threshold: 386 pairs share an answer inside it, 742 only past it
+        # and 642 none
+        tr = seeded_transcript(60, 2400, 1)
+        assert len(set(tr.masks)) // 4 >= reconstruct._DECODE_PREFIX
+        result = reconstruct.decode(60, tr)
+        assert (result.edges, result.unknown_pairs) == ref.decode(60, tr)
 
     def test_run_columns_are_no_field(self):
         g = Graph(3, [(0, 1)])
